@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", type=int, help="measurement models per cell")
     p.add_argument("--slices", type=int, help="sliced-Wasserstein slice count")
     p.add_argument("--steps", type=int, help="reverse diffusion steps")
-    p.add_argument("--zeta", type=float, default=1.0, help="DPS guidance strength")
+    p.add_argument("--zeta", type=float, help="DPS guidance strength")
     p.add_argument("--smoke", action="store_true", help="desk-scale defaults")
     p.add_argument(
         "--no-timing",
@@ -62,10 +62,7 @@ def main(argv=None) -> int:
         grid = grid.smoke()
     overrides = {}
     if args.methods:
-        overrides["methods"] = tuple(
-            GuidanceMethod(tag=m, zeta=args.zeta) if m == "dps" else GuidanceMethod(tag=m)
-            for m in args.methods
-        )
+        overrides["methods"] = tuple(GuidanceMethod(tag=m) for m in args.methods)
     if args.chains:
         overrides["chains_per_model"] = args.chains
     if args.models:
@@ -78,6 +75,13 @@ def main(argv=None) -> int:
         overrides["record_timing"] = False
     if overrides:
         grid = replace(grid, **overrides)
+    if args.zeta is not None:
+        grid = replace(
+            grid,
+            methods=tuple(
+                replace(m, zeta=args.zeta) if m.tag == "dps" else m for m in grid.methods
+            ),
+        )
     if args.seed is not None:
         master_seed = args.seed
     if args.out is not None:

@@ -88,34 +88,33 @@ def _require_unit_variance(prior: GaussianMixture) -> None:
         raise ValueError("smoothing formulas require unit component variance")
 
 
-def _log_resp(prior: GaussianMixture, x: np.ndarray, alpha_bar: float):
-    """Log responsibilities under p_t = sum_k w_k N(x; sqrt(ab) U_k, I).
+def _responsibilities(prior: GaussianMixture, x: np.ndarray, alpha_bar: float):
+    """Responsibilities under p_t = sum_k w_k N(x; sqrt(ab) U_k, I).
 
-    x has shape (n, d); returns (log_resp (n, K), smoothed means (K, d)).
-    Smoothed components keep unit variance because the prior components do:
-    alpha_bar * 1 + (1 - alpha_bar) = 1.
+    x has shape (n, d); returns (resp (n, K), log normalizer (n,), smoothed
+    means (K, d)).  Smoothed components keep unit variance because the prior
+    components do: alpha_bar * 1 + (1 - alpha_bar) = 1.  The logits
+    log w_k - 0.5 ||x - m_k||^2 are formed as one matmul without the
+    -0.5 ||x||^2 term, which is shared by every component and cancels in
+    the softmax; the log normalizer excludes it too.
     """
     means_t = np.sqrt(alpha_bar) * prior.means
-    # (n, K): -0.5 ||x - m_k||^2 accumulated per component to bound memory
-    n = x.shape[0]
-    logp = np.empty((n, prior.n_components))
-    for k in range(prior.n_components):
-        diff = x - means_t[k]
-        logp[:, k] = prior.log_weights[k] - 0.5 * np.einsum("nd,nd->n", diff, diff)
-    logp -= logsumexp(logp, axis=1, keepdims=True)
-    return logp, means_t
+    logits = x @ means_t.T + (
+        prior.log_weights - 0.5 * np.einsum("kd,kd->k", means_t, means_t)
+    )
+    top = logits.max(axis=1, keepdims=True)
+    resp = np.exp(logits - top)
+    total = resp.sum(axis=1, keepdims=True)
+    resp /= total
+    return resp, top[:, 0] + np.log(total[:, 0]), means_t
 
 
 def smoothed_log_pdf(prior: GaussianMixture, x_t: np.ndarray, alpha_bar: float):
     """log p_t(x_t) for the diffused mixture; x_t is (d,) or (n, d)."""
     _require_unit_variance(prior)
     x = np.atleast_2d(np.asarray(x_t, dtype=np.float64))
-    means_t = np.sqrt(alpha_bar) * prior.means
-    logp = np.empty((x.shape[0], prior.n_components))
-    for k in range(prior.n_components):
-        diff = x - means_t[k]
-        logp[:, k] = prior.log_weights[k] - 0.5 * np.einsum("nd,nd->n", diff, diff)
-    out = logsumexp(logp, axis=1) - 0.5 * prior.dim * np.log(2.0 * np.pi)
+    _, log_norm, _ = _responsibilities(prior, x, alpha_bar)
+    out = log_norm - 0.5 * np.einsum("nd,nd->n", x, x) - 0.5 * prior.dim * np.log(2.0 * np.pi)
     return out[0] if np.asarray(x_t).ndim == 1 else out
 
 
@@ -123,8 +122,7 @@ def smoothed_score(prior: GaussianMixture, x_t: np.ndarray, alpha_bar: float):
     """grad_x log p_t(x_t); x_t is (d,) or (n, d)."""
     _require_unit_variance(prior)
     x = np.atleast_2d(np.asarray(x_t, dtype=np.float64))
-    logr, means_t = _log_resp(prior, x, alpha_bar)
-    r = np.exp(logr)
+    r, _, means_t = _responsibilities(prior, x, alpha_bar)
     score = r @ means_t - x
     return score[0] if np.asarray(x_t).ndim == 1 else score
 
@@ -134,21 +132,19 @@ def smoothed_score_hvp(
 ):
     """Hessian-vector product (grad^2 log p_t(x)) v, batched like x_t.
 
-    For unit-variance components:
-        H v = sum_k r_k (m_k - x) ((m_k - x) . v) - v - s (s . v),
-    with s the smoothed score.
+    For unit-variance components the Hessian is Cov_r(m) - I, the
+    responsibility-weighted covariance of the smoothed means minus the
+    identity, so with mu = sum_k r_k m_k:
+        H v = sum_k r_k (m_k - mu) ((m_k - mu) . v) - v.
     """
     _require_unit_variance(prior)
     squeeze = np.asarray(x_t).ndim == 1
     x = np.atleast_2d(np.asarray(x_t, dtype=np.float64))
     vv = np.atleast_2d(np.asarray(v, dtype=np.float64))
-    logr, means_t = _log_resp(prior, x, alpha_bar)
-    r = np.exp(logr)
-    s = r @ means_t - x
-    out = -vv - s * np.einsum("nd,nd->n", s, vv)[:, None]
-    for k in range(prior.n_components):
-        diff = means_t[k] - x
-        out += (r[:, k] * np.einsum("nd,nd->n", diff, vv))[:, None] * diff
+    r, _, means_t = _responsibilities(prior, x, alpha_bar)
+    mu = r @ means_t
+    w = r * (vv @ means_t.T - np.einsum("nd,nd->n", mu, vv)[:, None])
+    out = w @ means_t - mu * w.sum(axis=1, keepdims=True) - vv
     return out[0] if squeeze else out
 
 
@@ -172,8 +168,8 @@ def conditional_moments(
     """Exact E[x0 | x_t] and Cov(x0 | x_t) under the mixture prior."""
     _require_unit_variance(prior)
     x = np.asarray(x_t, dtype=np.float64)
-    logr, _ = _log_resp(prior, x[None, :], alpha_bar)
-    r = np.exp(logr[0])
+    resp, _, _ = _responsibilities(prior, x[None, :], alpha_bar)
+    r = resp[0]
     sab = np.sqrt(alpha_bar)
     # per-component posterior: mean U_k + sqrt(ab)(x - sqrt(ab) U_k),
     # covariance (1 - ab) I

@@ -42,7 +42,8 @@ _STREAM_MATRIX = 0
 _STREAM_OBSERVATION = 1
 _STREAM_REFERENCE = 2
 _STREAM_SLICES = 3
-_STREAM_CHAINS = 10  # + method index
+_STREAM_CHAINS = 10  # + the method's index in _METHOD_TAGS
+_METHOD_TAGS = ("cadps", "dps", "pigdm")
 
 
 def default_methods(zeta: float = 1.0) -> list[GuidanceMethod]:
@@ -149,13 +150,14 @@ def run_model(
     records = []
     samples_out = {"reference": reference} if keep_samples else {}
     total = aborted = 0
-    for j, method in enumerate(grid.methods):
+    for method in grid.methods:
         t0 = time.perf_counter()
+        stream = _STREAM_CHAINS + _METHOD_TAGS.index(method.tag)
         cfg = ChainConfig(
             schedule=schedule,
             method=method,
             rng_seed=np.random.default_rng(
-                _seed(master_seed, d, m, sigma, model_index, _STREAM_CHAINS + j)
+                _seed(master_seed, d, m, sigma, model_index, stream)
             ),
             n_chains=grid.chains_per_model,
         )

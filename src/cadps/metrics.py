@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 __all__ = ["SwConfig", "sliced_wasserstein", "aggregate_ci", "draw_slice_directions"]
 
@@ -79,5 +79,5 @@ def aggregate_ci(values, level: float = 0.95):
         raise ValueError("need at least 2 values for a confidence interval")
     mean = float(values.mean())
     s = float(values.std(ddof=1))
-    halfwidth = float(stats.t.ppf(0.5 + level / 2.0, k - 1) * s / np.sqrt(k))
+    halfwidth = float(stdtrit(k - 1, 0.5 + level / 2.0) * s / np.sqrt(k))
     return mean, halfwidth

@@ -109,6 +109,12 @@ def run_guided_chains(
     The guidance correction is applied additively in the direction that
     increases measurement consistency.  Chains whose state goes
     non-finite are frozen at NaN and flagged in the diagnostics.
+
+    PiGDM and CA-DPS draw their final x0 from N(x0_hat, Sigma_1)
+    conditioned on the observation.  CA-DPS takes Sigma_1 from its diagonal
+    estimate only in "fd-diag" mode; the default "fd-directional" mode keeps
+    no explicit covariance (sigma_tilde_diag is None), so its final draw
+    uses the isotropic (1 - ab_1) I fallback, as PiGDM does.
     """
     if prior.dim != meas.d:
         raise ValueError("prior dimension does not match measurement matrix")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from cadps import (
     GaussianMixture,
@@ -12,8 +13,99 @@ from cadps import (
     smoothed_score,
     tweedie_mean,
 )
-from cadps.gmm import smoothed_score_hvp
+from cadps.gmm import _responsibilities, smoothed_score_hvp
 from cadps.measurement import MeasurementModel
+
+
+# Loop-over-components forms of the responsibilities, score and Hessian-vector
+# product, as the kernel computed them before it became one matmul.  They are
+# the reference the matmul kernel is checked against.
+def _loop_log_resp(prior, x, ab):
+    means_t = np.sqrt(ab) * prior.means
+    logp = np.empty((x.shape[0], prior.n_components))
+    for k in range(prior.n_components):
+        diff = x - means_t[k]
+        logp[:, k] = prior.log_weights[k] - 0.5 * np.einsum("nd,nd->n", diff, diff)
+    return logp - logsumexp(logp, axis=1, keepdims=True), logp, means_t
+
+
+def _loop_score(prior, x, ab):
+    logr, _, means_t = _loop_log_resp(prior, x, ab)
+    return np.exp(logr) @ means_t - x
+
+
+def _loop_hvp(prior, x, ab, v):
+    """sum_k r_k (m_k - x)((m_k - x) . v) - v - s (s . v), and the size of
+    the terms it sums (its rounding error is relative to that size)."""
+    logr, _, means_t = _loop_log_resp(prior, x, ab)
+    r = np.exp(logr)
+    s = r @ means_t - x
+    out = -v - s * np.einsum("nd,nd->n", s, v)[:, None]
+    size = np.linalg.norm(v, axis=1) * (1.0 + np.einsum("nd,nd->n", s, s))
+    for k in range(prior.n_components):
+        diff = means_t[k] - x
+        out += (r[:, k] * np.einsum("nd,nd->n", diff, v))[:, None] * diff
+        size += r[:, k] * np.einsum("nd,nd->n", diff, diff) * np.linalg.norm(v, axis=1)
+    return out, size
+
+
+def _kernel_inputs(d, ab, rng):
+    """Rows near the smoothed modes, rows between modes, and rows just inside
+    the sampler's 1e10 runaway guard (returned separately)."""
+    prior = build_toy_prior(d)
+    near = np.sqrt(ab) * prior.means[rng.integers(0, 25, size=20)] + rng.standard_normal((20, d))
+    between = np.sqrt(ab) * rng.uniform(-20.0, 20.0, size=(20, d)) + rng.standard_normal((20, d))
+    edge = rng.standard_normal((6, d))
+    edge *= 0.99e10 / np.max(np.abs(edge), axis=1, keepdims=True)
+    return prior, np.vstack([near, between]), edge
+
+
+def _rel_err(a, b):
+    return np.linalg.norm(a - b, axis=1) / np.linalg.norm(b, axis=1)
+
+
+@pytest.mark.parametrize("d", [8, 80, 800])
+@pytest.mark.parametrize("ab", [0.9, 1e-3, 1e-250])
+def test_matmul_kernel_matches_loop_form(d, ab):
+    rng = np.random.default_rng(d)
+    prior, x, edge = _kernel_inputs(d, ab, rng)
+    rows = np.vstack([x, edge])
+    logr_loop, logp_loop, _ = _loop_log_resp(prior, rows, ab)
+    r, _, _ = _responsibilities(prior, rows, ab)
+    assert np.all(np.isfinite(r))
+    assert np.max(np.abs(r[: len(x)] - np.exp(logr_loop[: len(x)]))) <= 1e-10
+    # at the runaway edge the loop form rounds -0.5 ||x - m_k||^2 ~ -1e20 to
+    # a multiple of about 1e5: its log-normalizer loses log(25) and its
+    # responsibilities no longer sum to 1.  Check the exact limits instead:
+    # one-hot where sqrt(ab) U_k . x separates the components by ~1e9, the
+    # prior weights where sqrt(ab) = 1e-125 leaves them inseparable.
+    if ab == 1e-250:
+        limit = np.broadcast_to(np.exp(prior.log_weights), r[len(x) :].shape)
+    else:
+        limit = np.eye(25)[np.argmax(logp_loop[len(x) :], axis=1)]
+    assert np.max(np.abs(r[len(x) :] - limit)) <= 1e-10
+
+    score = smoothed_score(prior, rows, ab)
+    assert np.all(np.isfinite(score))
+    assert np.max(_rel_err(score, _loop_score(prior, rows, ab))) <= 1e-10
+
+    direct = logsumexp(logp_loop, axis=1) - 0.5 * d * np.log(2.0 * np.pi)
+    log_pdf = smoothed_log_pdf(prior, rows, ab)
+    assert np.all(np.isfinite(log_pdf))
+    assert np.max(np.abs(log_pdf - direct) / np.abs(direct)) <= 1e-10
+
+    v = rng.standard_normal(x.shape)
+    hv = smoothed_score_hvp(prior, x, ab, v)
+    hv_loop, size = _loop_hvp(prior, x, ab, v)
+    assert np.all(np.isfinite(hv))
+    assert np.all(np.linalg.norm(hv - hv_loop, axis=1) <= 1e-10 * size)
+
+    # at the runaway edge one component takes all the responsibility, so
+    # H v = Cov_r(m) v - v is exactly -v; the loop form cancels terms of
+    # size ||x||^2 ||v|| ~ 1e20 there and keeps no digit of it
+    v_edge = rng.standard_normal(edge.shape)
+    hv_edge = smoothed_score_hvp(prior, edge, ab, v_edge)
+    assert np.max(_rel_err(hv_edge, -v_edge)) <= 1e-10
 
 
 def _single_gaussian(d=1):
@@ -155,8 +247,6 @@ def test_exact_posterior_weights_normalized():
     a = rng.standard_normal((1, 2))
     meas = MeasurementModel(a=a, y=np.array([1.3]), sigma=0.1, x_star=np.zeros(2))
     post = exact_posterior(prior, meas)
-    from scipy.special import logsumexp
-
     assert abs(logsumexp(post.log_weights)) <= 1e-12
 
 

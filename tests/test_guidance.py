@@ -193,6 +193,28 @@ def test_cadps_directional_matches_dense_analytic_covariance():
     assert np.allclose(g, dense, rtol=1e-3, atol=1e-4)
 
 
+def test_cadps_directional_keeps_no_diagonal_for_final_step():
+    # the sampler's final CA-DPS draw uses state.sigma_tilde_diag when it is
+    # set and the isotropic (1 - ab_1) I fallback otherwise; only fd-diag sets it
+    prior = build_toy_prior(4)
+    sched = _schedule()
+    t = _step_near(sched, 0.5)
+    ab = sched.alpha_bar_t(t)
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-4, 4, (3, 4))
+    score = smoothed_score(prior, x, ab)
+    meas = MeasurementModel(
+        a=rng.standard_normal((2, 4)), y=rng.standard_normal(2), sigma=0.2, x_star=np.zeros(4)
+    )
+    _, state, _ = guidance_gradient_cadps(
+        x, score, sched, t, meas, GuidanceState(), score_fn=lambda z: smoothed_score(prior, z, ab)
+    )
+    assert state.sigma_tilde_diag is None
+    diag = GuidanceMethod(tag="cadps", curvature="fd-diag")
+    _, state, _ = guidance_gradient_cadps(x, score, sched, t, meas, GuidanceState(), diag)
+    assert state.sigma_tilde_diag is not None
+
+
 def test_dps_zero_residual_guard():
     prior = _single_gaussian(1)
     sched = _schedule()

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -176,3 +177,50 @@ def test_cli_config_file(tmp_path):
     assert rc == 0
     records = parse_results_csv(tmp_path / "out/records.csv")
     assert {r.method for r in records} == {"dps"}
+
+
+def test_run_model_chain_seed_follows_method_tag():
+    grid = _tiny_grid()
+    all_methods, *_ = run_model(8, 1, 1.0, grid, 0, 0)
+    dps_only, *_ = run_model(8, 1, 1.0, replace(grid, methods=(GuidanceMethod(tag="dps"),)), 0, 0)
+    assert [r.sw for r in dps_only] == [r.sw for r in all_methods if r.method == "dps"]
+
+
+def _rows_by_method(path):
+    rows = {}
+    for line in path.read_text().splitlines()[1:]:
+        rows.setdefault(line.split(",")[3], []).append(line)
+    return rows
+
+
+def test_cli_zeta_sets_default_dps(tmp_path):
+    args = ["--cell", "8,1,0.1", "--models", "1", "--chains", "50", "--steps", "50"]
+    args += ["--slices", "100", "--no-timing"]
+    cli_main(args + ["--out", str(tmp_path / "base")])
+    cli_main(args + ["--zeta", "0.3", "--out", str(tmp_path / "zeta")])
+    base = _rows_by_method(tmp_path / "base/records.csv")
+    zeta = _rows_by_method(tmp_path / "zeta/records.csv")
+    assert zeta["dps"] != base["dps"]
+    assert zeta["cadps"] == base["cadps"]
+    assert zeta["pigdm"] == base["pigdm"]
+
+
+def test_cli_zeta_sets_config_dps(tmp_path):
+    cfg = {
+        "dims": [8],
+        "ms": [1],
+        "sigmas": [0.1],
+        "models_per_cell": 1,
+        "chains_per_model": 20,
+        "n_steps": 30,
+        "n_slices": 50,
+        "methods": [{"tag": "dps", "zeta": 1.0}],
+    }
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    args = ["--config", str(cfg_path), "--no-timing", "--out"]
+    cli_main(args + [str(tmp_path / "base")])
+    cli_main(args + [str(tmp_path / "zeta"), "--zeta", "0.3"])
+    base = parse_results_csv(tmp_path / "base/records.csv")
+    zeta = parse_results_csv(tmp_path / "zeta/records.csv")
+    assert [r.sw for r in zeta] != [r.sw for r in base]

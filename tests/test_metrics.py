@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cadps
 from cadps import SwConfig, aggregate_ci, sliced_wasserstein
 from cadps.metrics import draw_slice_directions
 
@@ -86,6 +92,28 @@ def test_aggregate_ci_examples():
     assert half == pytest.approx(12.7062, rel=1e-4)
     with pytest.raises(ValueError):
         aggregate_ci([1.0])
+
+
+def test_aggregate_ci_t_quantile():
+    vals = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+    mean, half = aggregate_ci(vals)
+    assert mean == 0.0
+    # Student-t 0.975 quantile with 4 degrees of freedom
+    assert half == 2.7764451051977934 * vals.std(ddof=1) / np.sqrt(5)
+
+
+def test_import_leaves_out_scipy_stats():
+    src = str(Path(cadps.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, cadps; print('scipy.stats' in sys.modules)"],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_aggregate_ci_coverage():
