@@ -2,7 +2,7 @@
 
 Library layout:
     schedule     discrete VP noise schedule
-    linalg       CG solver, Gaussian log-densities, small eigendecompositions
+    linalg       CG solver, Gaussian log-densities
     gmm          mixture prior, smoothed score, exact moments and posterior
     measurement  random linear-Gaussian measurement models
     guidance     DPS / PiGDM / covariance-aware likelihood corrections
@@ -12,7 +12,7 @@ Library layout:
 """
 
 from .schedule import NoiseSchedule, build_linear_vp_schedule, snr_sigma_sq
-from .linalg import CgReport, conjugate_gradient_solve, gaussian_log_pdf, spd_eigendecomposition
+from .linalg import CgReport, conjugate_gradient_solve, gaussian_log_pdf
 from .gmm import (
     ConditionalMoments,
     GaussianMixture,
@@ -44,7 +44,6 @@ from .guidance import (
 from .sampler import (
     ChainConfig,
     reverse_step_unconditional,
-    run_guided_chain,
     run_guided_chains,
     run_unconditional_chains,
 )

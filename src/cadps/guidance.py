@@ -2,20 +2,23 @@
 
 Each function accepts a single state vector (d,) or a batch (n, d) of
 independent chains; per-chain quantities broadcast along the leading
-axis.  The covariance-aware path keeps a per-chain running score so the
-Hessian diagonal can be estimated by differencing consecutive score
+axis.  PiGDM, both CA-DPS curvature modes and the final conditional draw
+solve the same likelihood system (sigma^2 I + G) lam = y - A x0_hat,
+differing only in the m x m Gram G = A C A^T of their covariance C.  The
+running score of GuidanceState is used by the fd-diag mode only, to
+estimate the Hessian diagonal by differencing consecutive score
 evaluations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import CgReport, conjugate_gradient_solve
-from .measurement import MeasurementModel
+from .linalg import conjugate_gradient_solve
+from .measurement import MeasurementModel, residual
 from .schedule import NoiseSchedule, snr_sigma_sq
 
 __all__ = [
@@ -35,8 +38,8 @@ __all__ = [
 CG_TOL = 1e-4
 
 # ceiling on the covariance diagonal: (1 - ab)/ab blows past 1e200 in the
-# pure-noise regime of short, heavily capped schedules, overflowing the CG
-# operator.  Guidance is O(sqrt(ab)) there, so capping changes nothing
+# pure-noise regime of short, heavily capped schedules, overflowing the
+# likelihood Gram.  Guidance is O(sqrt(ab)) there, so capping changes nothing
 # observable.
 SIGMA_DIAG_CEIL = 1e100
 
@@ -45,11 +48,7 @@ SIGMA_DIAG_CEIL = 1e100
 class GuidanceMethod:
     """Method selector plus hyperparameters.
 
-    jacobian_mode picks how DPS/PiGDM treat d(x0_hat)/d(x_t): "exact"
-    uses the analytic mixture Hessian, "identity" the scaled identity
-    (1/sqrt(alpha_bar)) I.  fd_dt is the finite-difference denominator for
-    the trajectory-difference Hessian estimate (1.0 = one discrete step;
-    1/N is the continuous-time alternative).  curvature selects how the
+    zeta is the DPS guidance strength.  curvature selects how the
     covariance-aware method estimates score curvature: "fd-directional"
     (default) takes central-difference Hessian-vector products along the
     measurement directions, which captures the cross-coordinate structure
@@ -59,10 +58,6 @@ class GuidanceMethod:
 
     tag: str  # one of "dps", "pigdm", "cadps"
     zeta: float = 1.0
-    hessian_floor: float = 0.0
-    jacobian_mode: str = "exact"
-    fd_dt: float = 1.0
-    scale: float = 1.0
     curvature: str = "fd-directional"
 
     def __post_init__(self):
@@ -70,15 +65,13 @@ class GuidanceMethod:
             raise ValueError(f"unknown guidance tag {self.tag!r}")
         if self.tag == "dps" and self.zeta <= 0:
             raise ValueError("zeta must be positive for DPS")
-        if self.jacobian_mode not in ("exact", "identity"):
-            raise ValueError(f"unknown jacobian_mode {self.jacobian_mode!r}")
         if self.curvature not in ("fd-directional", "fd-diag"):
             raise ValueError(f"unknown curvature {self.curvature!r}")
 
 
 @dataclass
 class GuidanceState:
-    """Per-chain running quantities for the finite-difference Hessian."""
+    """Per-chain running quantities for the fd-diag Hessian estimate."""
 
     prev_score: Optional[np.ndarray] = None
     prev_step: Optional[int] = None
@@ -97,20 +90,16 @@ def finite_difference_hessian_diag(
     state: GuidanceState,
     current_score: np.ndarray,
     current_step: int,
-    dt: float = 1.0,
-    current_x: Optional[np.ndarray] = None,
+    current_x: np.ndarray,
 ) -> np.ndarray:
     """Diagonal Hessian estimate from consecutive score evaluations.
 
-    The previous score comes from the immediately preceding (noisier)
-    sampler iteration; the first iteration has no history and returns
-    zeros.  When the previous chain state is tracked as well, the score
-    difference is divided elementwise by the state difference, which is
-    the quantity with the units of a second derivative; without
-    positions the raw score difference over dt is returned.
+    The previous score and chain state come from the immediately
+    preceding (noisier) sampler iteration; the first iteration has no
+    history and returns zeros.  The score difference is divided
+    elementwise by the state difference, which is the quantity with the
+    units of a second derivative; coordinates that did not move give 0.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     if state.prev_score is None:
         return np.zeros_like(current_score)
     if state.prev_step != current_step + 1:
@@ -118,8 +107,6 @@ def finite_difference_hessian_diag(
             f"non-adjacent steps: previous {state.prev_step}, current {current_step}"
         )
     ds = state.prev_score - current_score
-    if state.prev_x is None or current_x is None:
-        return ds / dt
     dx = state.prev_x - current_x
     safe = np.abs(dx) >= 1e-12
     return np.where(safe, ds / np.where(safe, dx, 1.0), 0.0)
@@ -172,29 +159,29 @@ def fd_score_hessian(
     return 0.5 * (h + h.T)
 
 
-def cadps_covariance_diag(
-    h_diag: np.ndarray, alpha_bar_t: float, floor: float = 0.0
-) -> np.ndarray:
-    """Sigma_t diagonal = ((1-ab)/ab)(1 + (1-ab) h), clamped elementwise."""
+def cadps_covariance_diag(h_diag: np.ndarray, alpha_bar_t: float) -> np.ndarray:
+    """Sigma_t diagonal = ((1-ab)/ab)(1 + (1-ab) h), clamped to [0, SIGMA_DIAG_CEIL]."""
     if not 0.0 < alpha_bar_t < 1.0:
         raise ValueError(f"alpha_bar must be in (0, 1), got {alpha_bar_t}")
     raw = ((1.0 - alpha_bar_t) / alpha_bar_t) * (1.0 + (1.0 - alpha_bar_t) * h_diag)
-    return np.clip(raw, floor, SIGMA_DIAG_CEIL)
+    return np.clip(raw, 0.0, SIGMA_DIAG_CEIL)
 
 
-def _cg_solve_likelihood(
-    meas: MeasurementModel, s_diag: np.ndarray, rhs: np.ndarray
-):
-    """Solve (sigma^2 I + A diag(s) A^T) lam = rhs by CG, batched.
+def _diag_gram(meas: MeasurementModel, s_diag: np.ndarray) -> np.ndarray:
+    """A diag(s) A^T for s of shape (d,) or (n, d): (m, m) or (n, m, m)."""
+    return (s_diag[..., None, :] * meas.a) @ meas.a.T
 
-    The operator is applied as three cheap products; the matrix is never
-    materialized.
+
+def _solve_likelihood(meas: MeasurementModel, gram: np.ndarray, rhs: np.ndarray):
+    """Solve (sigma^2 I + G) lam = rhs by CG for an explicit Gram G.
+
+    G is (m, m), shared by every chain, or (n, m, m), one per chain; rhs
+    is (m,) or (n, m).  Returns (lam, cg_report).
     """
-    a = meas.a
     sig2 = meas.sigma**2
 
     def op(lam: np.ndarray) -> np.ndarray:
-        return sig2 * lam + (s_diag * (lam @ a)) @ a.T
+        return sig2 * lam + np.einsum("...ij,...j->...i", gram, lam)
 
     return conjugate_gradient_solve(op, rhs, tol=CG_TOL, max_iter=10 * meas.m)
 
@@ -205,7 +192,7 @@ def _clip_psd(g: np.ndarray) -> np.ndarray:
     The exact covariance Gram matrix A Sigma A^T is PSD; finite-difference
     noise can push estimated eigenvalues slightly negative (or, deep in
     the noise regime, wildly large), which would break the SPD contract
-    of the CG solve.
+    of the likelihood solve.
     """
     g = 0.5 * (g + np.swapaxes(g, -1, -2))
     evals, evecs = np.linalg.eigh(g)
@@ -223,25 +210,26 @@ def guidance_gradient_cadps(
     method: GuidanceMethod | None = None,
     score_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ):
-    """Covariance-aware likelihood gradient (with CG inner solve).
+    """Covariance-aware likelihood gradient.
 
-    Returns (gradient, updated_state, cg_report).  The gradient is the
-    single quantity (sqrt(ab)/(1-ab)) Sigma_t A^T lam, which bakes in the
-    Jacobian identity d(x0_hat)/d(x_t) = (sqrt(ab)/(1-ab)) Sigma_t.
+    Returns (gradient, state, cg_report).  The gradient is the single
+    quantity (sqrt(ab)/(1-ab)) Sigma_t A^T lam, which bakes in the Jacobian
+    identity d(x0_hat)/d(x_t) = (sqrt(ab)/(1-ab)) Sigma_t.
 
     With curvature "fd-directional" (and a score_fn to evaluate perturbed
     states), Sigma_t enters only through products Sigma_t v computed from
     central-difference Hessian-vector products of the score, so the full
     cross-coordinate covariance structure is retained at a cost of
-    2(m + 1) extra score evaluations per step.  With "fd-diag" the
-    diagonal trajectory-difference estimate is used and no extra score
-    evaluations are made.
+    2(m + 1) extra score evaluations per step, and the state is returned
+    unchanged.  With "fd-diag" the diagonal trajectory-difference estimate
+    is used, no extra score evaluations are made, and the returned state
+    carries this step's score, position and covariance diagonal.
     """
     if method is None:
         method = GuidanceMethod(tag="cadps")
     ab = schedule.alpha_bar_t(t)
-    x0 = tweedie_mean(x_t, score, ab)
-    rhs = meas.y - x0 @ meas.a.T
+    rhs = residual(meas, tweedie_mean(x_t, score, ab))
+    jac = np.sqrt(ab) / (1.0 - ab)
 
     if method.curvature == "fd-directional" and score_fn is not None:
         # the mixture smoothing length is at least sqrt(1 - ab), so the
@@ -253,38 +241,23 @@ def guidance_gradient_cadps(
             hv = fd_score_hvp(score_fn, x_t, v, eps)
             return cov_fac * (v + (1.0 - ab) * hv)
 
-        rows = np.stack(
-            [cov_vp(np.broadcast_to(meas.a[i], np.shape(x_t)).copy()) for i in range(meas.m)],
-            axis=-2,
-        )  # (..., m, d)
-        gram = _clip_psd(rows @ meas.a.T)  # (..., m, m)
-        sig2 = meas.sigma**2
+        # filled in place: stacking a list would hold every row twice
+        rows = np.empty(np.shape(x_t)[:-1] + meas.a.shape)  # (..., m, d)
+        for i in range(meas.m):
+            rows[..., i, :] = cov_vp(np.broadcast_to(meas.a[i], np.shape(x_t)).copy())
+        lam, report = _solve_likelihood(meas, _clip_psd(rows @ meas.a.T), rhs)
+        return jac * cov_vp(lam @ meas.a), state, report
 
-        def op(lam: np.ndarray) -> np.ndarray:
-            return sig2 * lam + np.einsum("...ij,...j->...i", gram, lam)
-
-        lam, report = conjugate_gradient_solve(op, rhs, tol=CG_TOL, max_iter=10 * meas.m)
-        grad = (np.sqrt(ab) / (1.0 - ab)) * cov_vp(lam @ meas.a)
-        new_state = GuidanceState(
-            prev_score=np.array(score, copy=True),
-            prev_step=t,
-            prev_x=np.array(x_t, copy=True),
-        )
-        return grad, new_state, report
-
-    h = finite_difference_hessian_diag(
-        state, score, t, dt=method.fd_dt, current_x=x_t
-    )
-    s_diag = cadps_covariance_diag(h, ab, floor=method.hessian_floor)
-    lam, report = _cg_solve_likelihood(meas, s_diag, rhs)
-    grad = (np.sqrt(ab) / (1.0 - ab)) * s_diag * (lam @ meas.a)
+    h = finite_difference_hessian_diag(state, score, t, x_t)
+    s_diag = cadps_covariance_diag(h, ab)
+    lam, report = _solve_likelihood(meas, _diag_gram(meas, s_diag), rhs)
     new_state = GuidanceState(
         prev_score=np.array(score, copy=True),
         prev_step=t,
         sigma_tilde_diag=s_diag,
         prev_x=np.array(x_t, copy=True),
     )
-    return grad, new_state, report
+    return jac * s_diag * (lam @ meas.a), new_state, report
 
 
 def sample_final_conditional(
@@ -301,11 +274,12 @@ def sample_final_conditional(
             (y - A (x0 + u) - w)
     has exactly the conditional mean and covariance.  The callers supply
     noise_u and noise_w as standard normals so the RNG stream stays under
-    the sampler's control.  Returns (sample, cg_report).
+    the sampler's control.  s_diag is (d,), shared by every chain, or
+    (n, d).  Returns (sample, cg_report).
     """
     xu = x0 + np.sqrt(s_diag) * noise_u
-    rhs = meas.y - xu @ meas.a.T - meas.sigma * noise_w
-    lam, report = _cg_solve_likelihood(meas, s_diag, rhs)
+    rhs = residual(meas, xu) - meas.sigma * noise_w
+    lam, report = _solve_likelihood(meas, _diag_gram(meas, s_diag), rhs)
     return xu + s_diag * (lam @ meas.a), report
 
 
@@ -334,8 +308,7 @@ def guidance_gradient_dps(
     if zeta <= 0:
         raise ValueError("zeta must be positive")
     ab = schedule.alpha_bar_t(t)
-    x0 = tweedie_mean(x_t, score, ab)
-    r = meas.y - x0 @ meas.a.T
+    r = residual(meas, tweedie_mean(x_t, score, ab))
     rnorm = np.linalg.norm(np.atleast_2d(r), axis=-1)
     if r.ndim == 1:
         rnorm = rnorm[0]
@@ -366,14 +339,7 @@ def guidance_gradient_pigdm(
     ab = schedule.alpha_bar_t(t)
     sq = snr_sigma_sq(schedule, t)
     rt2 = sq / (1.0 + sq)
-    x0 = tweedie_mean(x_t, score, ab)
-    rhs = meas.y - x0 @ meas.a.T
-    a = meas.a
-    sig2 = meas.sigma**2
-
-    def op(lam: np.ndarray) -> np.ndarray:
-        return sig2 * lam + rt2 * ((lam @ a) @ a.T)
-
-    lam, report = conjugate_gradient_solve(op, rhs, tol=CG_TOL, max_iter=10 * meas.m)
-    grad = _jacobian_transpose_apply(lam @ a, ab, jacobian_vp)
+    rhs = residual(meas, tweedie_mean(x_t, score, ab))
+    lam, report = _solve_likelihood(meas, rt2 * (meas.a @ meas.a.T), rhs)
+    grad = _jacobian_transpose_apply(lam @ meas.a, ab, jacobian_vp)
     return grad, report

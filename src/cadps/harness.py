@@ -46,10 +46,10 @@ _STREAM_CHAINS = 10  # + the method's index in _METHOD_TAGS
 _METHOD_TAGS = ("cadps", "dps", "pigdm")
 
 
-def default_methods(zeta: float = 1.0) -> list[GuidanceMethod]:
+def default_methods() -> list[GuidanceMethod]:
     return [
         GuidanceMethod(tag="cadps"),
-        GuidanceMethod(tag="dps", zeta=zeta),
+        GuidanceMethod(tag="dps"),
         GuidanceMethod(tag="pigdm"),
     ]
 

@@ -1,8 +1,7 @@
 """Small dense linear-algebra kernel.
 
-Conjugate gradient for SPD systems (batched over independent systems),
-Gaussian log-densities via Cholesky, and a symmetric eigendecomposition
-used when constructing measurement matrices.
+Conjugate gradient for SPD systems (batched over independent systems)
+and Gaussian log-densities via Cholesky.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ __all__ = [
     "CgReport",
     "conjugate_gradient_solve",
     "gaussian_log_pdf",
-    "spd_eigendecomposition",
 ]
 
 
@@ -104,15 +102,3 @@ def gaussian_log_pdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
         -0.5 * z @ z - np.sum(np.log(np.diag(chol))) - 0.5 * k * np.log(2.0 * np.pi)
     )
 
-
-def spd_eigendecomposition(g: np.ndarray):
-    """Eigendecomposition of a small symmetric matrix, sorted descending."""
-    g = np.asarray(g, dtype=np.float64)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise ValueError("expected a square matrix")
-    scale = np.linalg.norm(g)
-    if not np.allclose(g, g.T, atol=1e-10 * max(scale, 1.0)):
-        raise ValueError("matrix is not symmetric")
-    evals, evecs = np.linalg.eigh(g)
-    order = np.argsort(evals)[::-1]
-    return evals[order], evecs[:, order]

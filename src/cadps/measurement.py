@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gmm import GaussianMixture, sample_mixture
-from .linalg import spd_eigendecomposition
 
 __all__ = [
     "MeasurementModel",
@@ -39,15 +38,16 @@ def generate_measurement_matrix(
     """Gaussian seed matrix with its m singular values redrawn Uniform[0, 1].
 
     The SVD of the m x d seed comes from the eigendecomposition of its
-    m x m Gram matrix (m <= 4 in all experiments), with right singular
-    vectors A~^T u_i / s_i.  Zero draws are rejected so A A^T stays
-    nonsingular.
+    m x m Gram matrix (m <= 4 in all experiments), taken in descending
+    order, with right singular vectors A~^T u_i / s_i.  Zero draws are
+    rejected so A A^T stays nonsingular.
     """
     if not 1 <= m <= d:
         raise ValueError(f"need 1 <= m <= d, got m={m}, d={d}")
     rng = np.random.default_rng(rng_seed)
     seed_mat = rng.standard_normal((m, d))
-    gram_evals, u = spd_eigendecomposition(seed_mat @ seed_mat.T)
+    gram_evals, u = np.linalg.eigh(seed_mat @ seed_mat.T)
+    gram_evals, u = gram_evals[::-1], u[:, ::-1]
     seed_svals = np.sqrt(np.maximum(gram_evals, 0.0))
     v = (seed_mat.T @ u) / seed_svals  # (d, m), orthonormal columns
     s = rng.uniform(0.0, 1.0, size=m)

@@ -8,9 +8,7 @@ Tweedie mean, the finite-difference Hessian, and the guidance term.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +37,6 @@ __all__ = [
     "reverse_step_unconditional",
     "run_unconditional_chains",
     "run_guided_chains",
-    "run_guided_chain",
 ]
 
 
@@ -49,8 +46,6 @@ class ChainConfig:
     method: GuidanceMethod
     rng_seed: int | np.random.Generator = 0
     n_chains: int = 1
-    record_trajectory: bool = False
-    trajectory_path: Optional[str] = None
 
 
 @dataclass
@@ -126,7 +121,7 @@ def run_guided_chains(
     state = GuidanceState()
     aborted = np.zeros(n, dtype=bool)
     cg_failures = 0
-    trajectory = [] if config.record_trajectory else None
+    fd_diag = method.tag == "cadps" and method.curvature == "fd-diag"
 
     for t in range(schedule.n_steps, 0, -1):
         ab = schedule.alpha_bar_t(t)
@@ -137,16 +132,13 @@ def run_guided_chains(
         score = smoothed_score(prior, x_safe, ab)
         x_next = reverse_step_unconditional(x_safe, score, schedule, t, rng)
 
+        report = None
         if ab < _GUIDANCE_AB_MIN:
             grad = np.zeros_like(x_safe)
-            if method.tag == "cadps":
+            if fd_diag:
                 # keep the running score current so the finite-difference
                 # Hessian sees adjacent steps once guidance resumes
-                state = GuidanceState(
-                    prev_score=np.array(score, copy=True),
-                    prev_step=t,
-                    prev_x=np.array(x_safe, copy=True),
-                )
+                state = GuidanceState(prev_score=score, prev_step=t, prev_x=x_safe)
         elif method.tag == "cadps":
             grad, state, report = guidance_gradient_cadps(
                 x_safe,
@@ -158,22 +150,20 @@ def run_guided_chains(
                 method,
                 score_fn=lambda xx, _ab=ab: smoothed_score(prior, xx, _ab),
             )
-            if not report.converged:
-                cg_failures += 1
         elif method.tag == "dps":
-            jvp = _make_jvp(prior, ab, method, x_safe)
+            jvp = _make_jvp(prior, ab, x_safe)
             grad = guidance_gradient_dps(
                 x_safe, score, schedule, t, meas, zeta=method.zeta, jacobian_vp=jvp
             )
         elif method.tag == "pigdm":
-            jvp = _make_jvp(prior, ab, method, x_safe)
+            jvp = _make_jvp(prior, ab, x_safe)
             grad, report = guidance_gradient_pigdm(
                 x_safe, score, schedule, t, meas, jacobian_vp=jvp
             )
-            if not report.converged:
-                cg_failures += 1
         else:  # pragma: no cover - rejected at construction
             raise ValueError(method.tag)
+        if report is not None and not report.converged:
+            cg_failures += 1
 
         if t == 1 and method.tag in ("cadps", "pigdm") and np.any(meas.a):
             # final step: the deterministic Tweedie output collapses the
@@ -181,7 +171,7 @@ def run_guided_chains(
             # variance, so draw x0 from the method's Gaussian model
             # N(x0_hat, Sigma_1) conditioned on the observation instead
             x0_hat = tweedie_mean(x_safe, score, ab)
-            if method.tag == "cadps" and state.sigma_tilde_diag is not None:
+            if state.sigma_tilde_diag is not None:
                 s_diag = state.sigma_tilde_diag
             else:
                 s_diag = np.full(prior.dim, 1.0 - ab)
@@ -200,56 +190,15 @@ def run_guided_chains(
             # correction.  A unit coefficient is unstable for near-exact
             # likelihood scores.
             kappa = schedule.beta_t(t) * np.sqrt(schedule.alpha_bar_prev(t) / ab)
-            x = x_next + method.scale * kappa * grad
+            x = x_next + kappa * grad
         bad = ~np.all(np.isfinite(x), axis=1)
         aborted |= bad
         x = np.where(aborted[:, None], np.nan, x)
-        if trajectory is not None:
-            trajectory.append((t, x.copy()))
 
-    diags = ChainDiagnostics(aborted=aborted, cg_failures=cg_failures)
-    if trajectory is not None and config.trajectory_path is not None:
-        with open(config.trajectory_path, "w") as fh:
-            for t, snap in trajectory:
-                fh.write(json.dumps({"t": t, "x": snap.tolist()}) + "\n")
-    return x, diags
+    return x, ChainDiagnostics(aborted=aborted, cg_failures=cg_failures)
 
 
-def run_guided_chain(
-    prior: GaussianMixture,
-    meas: MeasurementModel,
-    config: ChainConfig,
-) -> np.ndarray:
-    """Single guided chain; raises if the chain state goes non-finite."""
-    cfg = ChainConfig(
-        schedule=config.schedule,
-        method=config.method,
-        rng_seed=config.rng_seed,
-        n_chains=1,
-        record_trajectory=config.record_trajectory,
-        trajectory_path=config.trajectory_path,
-    )
-    samples, diags = run_guided_chains(prior, meas, cfg)
-    if diags.n_aborted:
-        raise FloatingPointError(
-            "chain state became non-finite during guided sampling "
-            f"(cg_failures={diags.cg_failures})"
-        )
-    return samples[0]
-
-
-def _make_jvp(
-    prior: GaussianMixture,
-    alpha_bar: float,
-    method: GuidanceMethod,
-    x_t: np.ndarray,
-):
+def _make_jvp(prior: GaussianMixture, alpha_bar: float, x_t: np.ndarray):
     """Bind the exact Jacobian-vector product to the current chain state."""
-    if method.jacobian_mode == "identity":
-        return None
     exact = make_tweedie_jacobian_vp(prior, alpha_bar)
-
-    def jvp(v: np.ndarray) -> np.ndarray:
-        return exact(x_t, v)
-
-    return jvp
+    return lambda v: exact(x_t, v)

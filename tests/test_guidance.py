@@ -17,8 +17,8 @@ from cadps import (
     snr_sigma_sq,
     tweedie_mean,
 )
-from cadps.gmm import GaussianMixture, smoothed_score_hvp
-from cadps.guidance import sample_final_conditional
+from cadps.gmm import GaussianMixture, make_tweedie_jacobian_vp, smoothed_score_hvp
+from cadps.guidance import SIGMA_DIAG_CEIL, _clip_psd, sample_final_conditional
 from cadps.measurement import MeasurementModel
 from cadps.sampler import reverse_step_unconditional
 
@@ -40,8 +40,6 @@ def test_method_validation():
         GuidanceMethod(tag="nope")
     with pytest.raises(ValueError):
         GuidanceMethod(tag="dps", zeta=0.0)
-    with pytest.raises(ValueError):
-        GuidanceMethod(tag="cadps", jacobian_mode="magic")
     with pytest.raises(ValueError):
         GuidanceMethod(tag="cadps", curvature="magic")
 
@@ -66,20 +64,26 @@ def test_tweedie_matches_analytic_moments():
 
 
 def test_fd_hessian_diag_first_iteration_zero():
-    h = finite_difference_hessian_diag(GuidanceState(), np.array([1.0, 2.0]), 5)
+    h = finite_difference_hessian_diag(
+        GuidanceState(), np.array([1.0, 2.0]), 5, np.array([0.5, -0.5])
+    )
     assert np.array_equal(h, np.zeros(2))
 
 
 def test_fd_hessian_diag_arithmetic():
-    state = GuidanceState(prev_score=np.array([-1.0]), prev_step=6)
-    h = finite_difference_hessian_diag(state, np.array([-1.2]), 5, dt=1.0)
-    assert h[0] == pytest.approx(0.2)
+    # (prev_score - score) / (prev_x - x); a coordinate that did not move gives 0
+    state = GuidanceState(
+        prev_score=np.array([-1.0, 3.0]), prev_step=6, prev_x=np.array([0.5, 2.0])
+    )
+    h = finite_difference_hessian_diag(state, np.array([-1.2, 4.0]), 5, np.array([0.4, 2.0]))
+    assert h[0] == pytest.approx(2.0)
+    assert h[1] == 0.0
 
 
 def test_fd_hessian_diag_rejects_non_adjacent():
-    state = GuidanceState(prev_score=np.array([-1.0]), prev_step=9)
+    state = GuidanceState(prev_score=np.array([-1.0]), prev_step=9, prev_x=np.array([0.5]))
     with pytest.raises(ValueError):
-        finite_difference_hessian_diag(state, np.array([-1.2]), 5)
+        finite_difference_hessian_diag(state, np.array([-1.2]), 5, np.array([0.4]))
 
 
 def test_fd_hessian_diag_sign_along_trajectory():
@@ -92,7 +96,7 @@ def test_fd_hessian_diag_sign_along_trajectory():
     signs = []
     for t in range(sched.n_steps, 0, -1):
         s = smoothed_score(prior, x, sched.alpha_bar_t(t))
-        h = finite_difference_hessian_diag(state, s, t, current_x=x)
+        h = finite_difference_hessian_diag(state, s, t, x)
         if state.prev_score is not None:
             signs.append(h[0] < 0)
         state = GuidanceState(prev_score=s, prev_step=t, prev_x=x.copy())
@@ -105,9 +109,34 @@ def test_cadps_covariance_diag_cases():
     assert np.allclose(cadps_covariance_diag(np.zeros(3), 0.2), (1 - 0.2) / 0.2)
     # Gaussian prior h = -1, ab = 0.5 -> exact covariance 1 - ab
     assert cadps_covariance_diag(np.array([-1.0]), 0.5)[0] == pytest.approx(0.5)
-    assert cadps_covariance_diag(np.array([-3.0]), 0.5, floor=0.0)[0] == 0.0
+    assert cadps_covariance_diag(np.array([-3.0]), 0.5)[0] == 0.0
     with pytest.raises(ValueError):
         cadps_covariance_diag(np.zeros(1), 1.0)
+
+
+def test_cadps_covariance_diag_saturates_at_ceiling():
+    # a huge curvature, and the (1 - ab)/ab factor of a pure-noise step,
+    # are both capped at SIGMA_DIAG_CEIL
+    out = cadps_covariance_diag(np.array([0.0, 1e300]), 0.5)
+    assert out[0] == 1.0
+    assert out[1] == SIGMA_DIAG_CEIL
+    assert np.all(cadps_covariance_diag(np.zeros(3), 1e-250) == SIGMA_DIAG_CEIL)
+
+
+def test_clip_psd_clips_negative_eigenvalue_to_zero():
+    q, _ = np.linalg.qr(np.random.default_rng(11).standard_normal((3, 3)))
+    g = (q * np.array([-0.5, 0.2, 2.0])) @ q.T
+    out = _clip_psd(g)
+    assert np.allclose(out, (q * np.array([0.0, 0.2, 2.0])) @ q.T, atol=1e-12)
+    assert np.linalg.eigvalsh(out).min() >= -1e-12
+
+
+def test_clip_psd_caps_huge_eigenvalue_at_ceiling():
+    # batched (n, m, m) blocks; diagonal blocks keep eigh exact
+    g = np.stack([np.diag([1e150, 1.0]), np.diag([3.0, 1e101])])
+    out = _clip_psd(g)
+    want = np.stack([np.diag([SIGMA_DIAG_CEIL, 1.0]), np.diag([3.0, SIGMA_DIAG_CEIL])])
+    assert np.array_equal(out, want)
 
 
 def test_all_gradients_vanish_for_zero_operator():
@@ -257,8 +286,6 @@ def test_dps_matches_fd_of_objective():
         r = meas.y - a @ tweedie_mean(z, s, ab)
         return float(r @ r)
 
-    from cadps.gmm import make_tweedie_jacobian_vp
-
     jvp = make_tweedie_jacobian_vp(prior, ab)
     g = guidance_gradient_dps(x, score, sched, t, meas, zeta=1.0, jacobian_vp=lambda v: jvp(x, v))
     r0 = meas.y - a @ tweedie_mean(x, score, ab)
@@ -345,3 +372,58 @@ def test_sample_final_conditional_moments():
     assert report.converged
     assert xs.mean() == pytest.approx(mean, abs=4 * np.sqrt(var / n))
     assert xs.std() == pytest.approx(np.sqrt(var), rel=0.02)
+
+
+def test_pigdm_batched_matches_dense_solve():
+    # d = 8, m = 4, n = 5 chains with the exact Tweedie Jacobian
+    # J = (sqrt(ab) / (1 - ab)) Cov(x0 | x_t), against np.linalg.solve
+    prior = build_toy_prior(8)
+    sched = _schedule()
+    t = _step_near(sched, 0.5)
+    ab = sched.alpha_bar_t(t)
+    rng = np.random.default_rng(8)
+    x = rng.uniform(-8, 8, (5, 8))
+    score = smoothed_score(prior, x, ab)
+    a = rng.standard_normal((4, 8))
+    meas = MeasurementModel(a=a, y=rng.standard_normal(4), sigma=0.2, x_star=np.zeros(8))
+    jvp = make_tweedie_jacobian_vp(prior, ab)
+    g, report = guidance_gradient_pigdm(
+        x, score, sched, t, meas, jacobian_vp=lambda v: jvp(x, v)
+    )
+    assert report.converged
+    gram = meas.sigma**2 * np.eye(4) + (1 - ab) * a @ a.T
+    for i in range(5):
+        jac = (np.sqrt(ab) / (1 - ab)) * conditional_moments(prior, x[i], ab).cov
+        r = meas.y - a @ tweedie_mean(x[i], score[i], ab)
+        dense = jac @ a.T @ np.linalg.solve(gram, r)
+        assert np.allclose(g[i], dense, rtol=1e-6, atol=1e-8)
+
+
+def test_sample_final_conditional_matches_gaussian_conditional():
+    # d = 3, m = 2: N(x0, diag(s)) conditioned on y = A x + sigma eps has
+    # mean x0 + S A^T M^-1 (y - A x0) and covariance S - S A^T M^-1 A S,
+    # with S = diag(s) and M = sigma^2 I + A S A^T
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((2, 3))
+    meas = MeasurementModel(a=a, y=np.array([0.7, -0.4]), sigma=0.3, x_star=np.zeros(3))
+    s = np.array([0.5, 1.2, 0.1])
+    x0 = np.array([0.2, -0.3, 1.0])
+    big_s = np.diag(s)
+    gain = big_s @ a.T @ np.linalg.inv(meas.sigma**2 * np.eye(2) + a @ big_s @ a.T)
+    mean = x0 + gain @ (meas.y - a @ x0)
+    cov = big_s - gain @ a @ big_s
+
+    n = 200_000
+    noise_u = rng.standard_normal((n, 3))
+    noise_w = rng.standard_normal((n, 2))
+    xs, report = sample_final_conditional(np.tile(x0, (n, 1)), s, meas, noise_u, noise_w)
+    assert report.converged
+    assert np.all(np.abs(xs.mean(axis=0) - mean) <= 4 * np.sqrt(np.diag(cov) / n))
+    var = np.diag(cov)
+    se_cov = np.sqrt((np.outer(var, var) + cov**2) / n)
+    assert np.all(np.abs(np.cov(xs.T) - cov) <= 5 * se_cov)
+    # a per-chain diagonal (one Gram per chain) gives the same draws
+    per_chain, _ = sample_final_conditional(
+        np.tile(x0, (n, 1)), np.tile(s, (n, 1)), meas, noise_u, noise_w
+    )
+    assert np.allclose(per_chain, xs, atol=1e-10)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
-from cadps import conjugate_gradient_solve, gaussian_log_pdf, spd_eigendecomposition
+from cadps import conjugate_gradient_solve, gaussian_log_pdf
 
 
 def _random_spd(m, rng):
@@ -90,28 +90,3 @@ def test_gaussian_log_pdf_rejects_bad_input():
     with pytest.raises(ValueError):
         gaussian_log_pdf(np.zeros(2), np.zeros(3), np.eye(2))
 
-
-def test_spd_eigendecomposition_examples():
-    e, v = spd_eigendecomposition(np.diag([3.0, 1.0]))
-    assert np.allclose(e, [3.0, 1.0])
-    assert np.allclose(np.abs(v), np.eye(2))
-
-    e, v = spd_eigendecomposition(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert np.allclose(e, [3.0, 1.0])
-
-    e, v = spd_eigendecomposition(np.eye(4))
-    assert np.allclose(e, 1.0)
-
-
-def test_spd_eigendecomposition_reconstructs():
-    rng = np.random.default_rng(7)
-    g = _random_spd(4, rng)
-    e, v = spd_eigendecomposition(g)
-    assert np.all(np.diff(e) <= 0)
-    assert np.allclose((v * e) @ v.T, g, atol=1e-10 * np.linalg.norm(g))
-    assert np.allclose(v.T @ v, np.eye(4), atol=1e-10)
-
-
-def test_spd_eigendecomposition_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        spd_eigendecomposition(np.array([[1.0, 2.0], [0.0, 1.0]]))

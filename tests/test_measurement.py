@@ -7,7 +7,6 @@ from cadps import (
     generate_measurement_matrix,
     generate_observation,
     residual,
-    spd_eigendecomposition,
 )
 from cadps.measurement import MeasurementModel
 
@@ -20,7 +19,7 @@ def test_rank_one_norm_identity():
 
 def test_singular_values_in_unit_interval():
     a = generate_measurement_matrix(80, 4, np.random.default_rng(1))
-    evals, _ = spd_eigendecomposition(a @ a.T)
+    evals = np.linalg.eigvalsh(a @ a.T)
     svals = np.sqrt(np.maximum(evals, 0.0))
     assert np.all(svals <= 1.0 + 1e-8)
     assert np.all(svals > 0.0)
@@ -34,6 +33,28 @@ def test_matrix_determinism_and_seed_sensitivity():
     a3 = generate_measurement_matrix(8, 2, np.random.default_rng(43))
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, a3)
+
+
+def _sorted_eigendecomposition_matrix(d, m, rng):
+    """The construction with an explicit descending argsort of the Gram
+    eigenvalues, as generate_measurement_matrix was first written."""
+    seed_mat = rng.standard_normal((m, d))
+    evals, evecs = np.linalg.eigh(seed_mat @ seed_mat.T)
+    order = np.argsort(evals)[::-1]
+    u = evecs[:, order]
+    v = (seed_mat.T @ u) / np.sqrt(np.maximum(evals[order], 0.0))
+    s = rng.uniform(0.0, 1.0, size=m)
+    while np.any(s == 0.0):
+        s = np.where(s == 0.0, rng.uniform(0.0, 1.0, size=m), s)
+    return (u * s) @ v.T
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_matrix_bitwise_matches_sorted_eigendecomposition(seed):
+    for d, m in ((8, 1), (8, 4), (80, 2), (800, 4)):
+        got = generate_measurement_matrix(d, m, np.random.default_rng(seed))
+        want = _sorted_eigendecomposition_matrix(d, m, np.random.default_rng(seed))
+        assert np.array_equal(got, want)
 
 
 def test_matrix_rejects_bad_shapes():

@@ -6,14 +6,15 @@ from cadps import (
     GuidanceMethod,
     build_linear_vp_schedule,
     build_toy_prior,
-    run_guided_chain,
     run_guided_chains,
     run_unconditional_chains,
     smoothed_score,
 )
+from cadps import sampler
 from cadps.gmm import GaussianMixture
 from cadps.measurement import MeasurementModel
-from cadps.sampler import reverse_step_unconditional
+from cadps.sampler import _GUIDANCE_AB_MIN, reverse_step_unconditional
+from cadps.schedule import NoiseSchedule
 
 
 def _single_gaussian(d=1):
@@ -70,18 +71,6 @@ def test_determinism_bit_identical():
     assert np.array_equal(x1, x2)
 
 
-def test_single_chain_matches_batch_stream():
-    prior = build_toy_prior(2)
-    sched = build_linear_vp_schedule(50, 0.1, 500.0)
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal((1, 2))
-    meas = MeasurementModel(a=a, y=np.array([0.5]), sigma=0.1, x_star=np.zeros(2))
-    cfg = ChainConfig(schedule=sched, method=GuidanceMethod(tag="pigdm"), rng_seed=8, n_chains=1)
-    batch, _ = run_guided_chains(prior, meas, cfg)
-    single = run_guided_chain(prior, meas, cfg)
-    assert np.array_equal(batch[0], single)
-
-
 def test_all_outputs_finite():
     prior = build_toy_prior(8)
     sched = build_linear_vp_schedule(100, 0.1, 500.0)
@@ -119,23 +108,38 @@ def test_scalar_posterior_chain_mean():
     assert abs(xs.mean() - post_mean) <= 3 * se
 
 
-def test_trajectory_dump(tmp_path):
-    prior = build_toy_prior(2)
-    sched = build_linear_vp_schedule(10, 0.1, 500.0)
-    meas = MeasurementModel(a=np.zeros((1, 2)), y=np.zeros(1), sigma=0.1, x_star=np.zeros(2))
-    path = tmp_path / "traj.jsonl"
-    cfg = ChainConfig(
-        schedule=sched,
-        method=GuidanceMethod(tag="dps"),
-        rng_seed=12,
-        n_chains=2,
-        record_trajectory=True,
-        trajectory_path=str(path),
-    )
-    run_guided_chains(prior, meas, cfg)
-    import json
 
-    lines = [json.loads(l) for l in path.read_text().splitlines()]
-    assert len(lines) == 10
-    assert lines[0]["t"] == 10 and lines[-1]["t"] == 1
-    assert np.shape(lines[0]["x"]) == (2, 2)
+def _schedule_from_alpha_bar(alpha_bar):
+    """A schedule with the given alpha_bar table (t = 1 first), built as
+    build_linear_vp_schedule derives the other tables."""
+    ab = np.asarray(alpha_bar, dtype=np.float64)
+    ab_prev = np.concatenate(([1.0], ab[:-1]))
+    alpha = ab / ab_prev
+    beta = 1.0 - alpha
+    sigma_tilde = np.sqrt(beta * (1.0 - ab_prev) / (1.0 - ab))
+    sigma_tilde[0] = 0.0
+    return NoiseSchedule(
+        n_steps=len(ab), beta=beta, alpha=alpha, alpha_bar=ab, sigma_tilde=sigma_tilde
+    )
+
+
+@pytest.mark.parametrize("tag", ["cadps", "dps", "pigdm"])
+def test_guidance_skipped_below_alpha_bar_floor(tag, monkeypatch):
+    above = _GUIDANCE_AB_MIN * (1.0 + 1e-6)
+    below = _GUIDANCE_AB_MIN * (1.0 - 1e-6)
+    sched = _schedule_from_alpha_bar([0.5, 0.1, above, below])
+    seen = []
+    original = getattr(sampler, f"guidance_gradient_{tag}")
+
+    def counting(x_t, score, schedule, t, *args, **kwargs):
+        seen.append(schedule.alpha_bar_t(t))
+        return original(x_t, score, schedule, t, *args, **kwargs)
+
+    monkeypatch.setattr(sampler, f"guidance_gradient_{tag}", counting)
+    prior = _single_gaussian(2)
+    meas = MeasurementModel(
+        a=np.array([[0.6, 0.2]]), y=np.array([0.3]), sigma=0.5, x_star=np.zeros(2)
+    )
+    cfg = ChainConfig(schedule=sched, method=GuidanceMethod(tag=tag), rng_seed=13, n_chains=4)
+    run_guided_chains(prior, meas, cfg)
+    assert seen == [above, 0.1, 0.5]
