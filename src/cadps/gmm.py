@@ -13,7 +13,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .linalg import gaussian_log_pdf
 
@@ -69,7 +68,9 @@ class ConditionalMoments:
 
 
 def _normalize_log_weights(log_w: np.ndarray) -> np.ndarray:
-    return log_w - logsumexp(log_w)
+    """log_w - logsumexp(log_w), shifted by the maximum so exp cannot overflow."""
+    top = np.max(log_w)
+    return log_w - (top + np.log(np.sum(np.exp(log_w - top))))
 
 
 def build_toy_prior(d: int) -> GaussianMixture:

@@ -216,11 +216,12 @@ def guidance_gradient_cadps(
     quantity (sqrt(ab)/(1-ab)) Sigma_t A^T lam, which bakes in the Jacobian
     identity d(x0_hat)/d(x_t) = (sqrt(ab)/(1-ab)) Sigma_t.
 
-    With curvature "fd-directional" (and a score_fn to evaluate perturbed
-    states), Sigma_t enters only through products Sigma_t v computed from
-    central-difference Hessian-vector products of the score, so the full
-    cross-coordinate covariance structure is retained at a cost of
-    2(m + 1) extra score evaluations per step, and the state is returned
+    With curvature "fd-directional", which needs a score_fn to evaluate
+    perturbed states, Sigma_t enters only through the m rows Sigma_t a_i,
+    computed from central-difference Hessian-vector products of the score;
+    they give both the Gram A Sigma_t A^T and Sigma_t A^T lam = lam @ rows,
+    so the full cross-coordinate covariance structure is retained at a
+    cost of 2m extra score evaluations per step, and the state is returned
     unchanged.  With "fd-diag" the diagonal trajectory-difference estimate
     is used, no extra score evaluations are made, and the returned state
     carries this step's score, position and covariance diagonal.
@@ -231,22 +232,22 @@ def guidance_gradient_cadps(
     rhs = residual(meas, tweedie_mean(x_t, score, ab))
     jac = np.sqrt(ab) / (1.0 - ab)
 
-    if method.curvature == "fd-directional" and score_fn is not None:
+    if method.curvature == "fd-directional":
+        if score_fn is None:
+            raise ValueError('curvature "fd-directional" needs a score_fn')
         # the mixture smoothing length is at least sqrt(1 - ab), so the
         # FD step tracks it
         eps = max(1e-3 * np.sqrt(1.0 - ab), 1e-8)
         cov_fac = (1.0 - ab) / ab
 
-        def cov_vp(v: np.ndarray) -> np.ndarray:
-            hv = fd_score_hvp(score_fn, x_t, v, eps)
-            return cov_fac * (v + (1.0 - ab) * hv)
-
         # filled in place: stacking a list would hold every row twice
         rows = np.empty(np.shape(x_t)[:-1] + meas.a.shape)  # (..., m, d)
         for i in range(meas.m):
-            rows[..., i, :] = cov_vp(np.broadcast_to(meas.a[i], np.shape(x_t)).copy())
+            a_i = np.broadcast_to(meas.a[i], np.shape(x_t)).copy()
+            hv = fd_score_hvp(score_fn, x_t, a_i, eps)
+            rows[..., i, :] = cov_fac * (a_i + (1.0 - ab) * hv)
         lam, report = _solve_likelihood(meas, _clip_psd(rows @ meas.a.T), rhs)
-        return jac * cov_vp(lam @ meas.a), state, report
+        return jac * np.einsum("...i,...id->...d", lam, rows), state, report
 
     h = finite_difference_hessian_diag(state, score, t, x_t)
     s_diag = cadps_covariance_diag(h, ab)
@@ -283,28 +284,19 @@ def sample_final_conditional(
     return xu + s_diag * (lam @ meas.a), report
 
 
-def _jacobian_transpose_apply(
-    v: np.ndarray,
-    alpha_bar: float,
-    jacobian_vp: Optional[Callable[[np.ndarray], np.ndarray]],
-) -> np.ndarray:
-    # the Jacobian here is symmetric (a function of the mixture Hessian),
-    # so J^T v = J v
-    if jacobian_vp is None:
-        return v / np.sqrt(alpha_bar)
-    return jacobian_vp(v)
-
-
 def guidance_gradient_dps(
     x_t: np.ndarray,
     score: np.ndarray,
     schedule: NoiseSchedule,
     t: int,
     meas: MeasurementModel,
+    jacobian_vp: Callable[[np.ndarray], np.ndarray],
     zeta: float = 1.0,
-    jacobian_vp: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> np.ndarray:
-    """DPS correction (2 zeta / ||r||) J^T A^T r, zero where r vanishes."""
+    """DPS correction (2 zeta / ||r||) J^T A^T r, zero where r vanishes.
+
+    jacobian_vp applies the symmetric Tweedie Jacobian J, so J^T v = J v.
+    """
     if zeta <= 0:
         raise ValueError("zeta must be positive")
     ab = schedule.alpha_bar_t(t)
@@ -319,8 +311,7 @@ def guidance_gradient_dps(
         coeff = np.where(rnorm > 0, 2.0 * zeta / np.where(rnorm > 0, rnorm, 1.0), 0.0)[
             :, None
         ]
-    atr = r @ meas.a
-    return coeff * _jacobian_transpose_apply(atr, ab, jacobian_vp)
+    return coeff * jacobian_vp(r @ meas.a)
 
 
 def guidance_gradient_pigdm(
@@ -329,17 +320,16 @@ def guidance_gradient_pigdm(
     schedule: NoiseSchedule,
     t: int,
     meas: MeasurementModel,
-    jacobian_vp: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    jacobian_vp: Callable[[np.ndarray], np.ndarray],
 ):
     """PiGDM correction J^T A^T (sigma^2 I + r_t^2 A A^T)^{-1} (y - A x0_hat).
 
-    r_t^2 = sigma_t^2 / (1 + sigma_t^2) = 1 - alpha_bar_t.  Returns
-    (gradient, cg_report).
+    r_t^2 = sigma_t^2 / (1 + sigma_t^2) = 1 - alpha_bar_t; jacobian_vp
+    applies J as for DPS.  Returns (gradient, cg_report).
     """
     ab = schedule.alpha_bar_t(t)
     sq = snr_sigma_sq(schedule, t)
     rt2 = sq / (1.0 + sq)
     rhs = residual(meas, tweedie_mean(x_t, score, ab))
     lam, report = _solve_likelihood(meas, rt2 * (meas.a @ meas.a.T), rhs)
-    grad = _jacobian_transpose_apply(lam @ meas.a, ab, jacobian_vp)
-    return grad, report
+    return jacobian_vp(lam @ meas.a), report

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtrit
 
 __all__ = ["SwConfig", "sliced_wasserstein", "aggregate_ci", "draw_slice_directions"]
 
@@ -73,6 +72,9 @@ def sliced_wasserstein(
 
 def aggregate_ci(values, level: float = 0.95):
     """Mean and t-distribution halfwidth over repeated measurement models."""
+    # imported here: scipy.special alone doubles the package's import cost
+    from scipy.special import stdtrit
+
     values = np.asarray(values, dtype=np.float64)
     k = values.size
     if k < 2:

@@ -2,8 +2,11 @@
 
 Chains are batched along the leading axis: one RNG drives the whole
 batch, so a batch of size one reproduces the single-chain stream
-exactly.  The score is evaluated once per step and reused for the
-Tweedie mean, the finite-difference Hessian, and the guidance term.
+exactly.  Every chain starts from N(0, I) at the first guided step t0,
+the last step with alpha_bar >= _GUIDANCE_AB_MIN: the steps above t0
+map N(0, I) to itself up to O(sqrt(alpha_bar)) <= 1e-6 and are not run.
+The score is evaluated once per step and reused for the Tweedie mean,
+the finite-difference Hessian, and the guidance term.
 """
 
 from __future__ import annotations
@@ -27,8 +30,10 @@ from .schedule import NoiseSchedule
 
 # below this alpha_bar the exact likelihood correction is O(sqrt(alpha_bar))
 # <= 1e-6, a numerical zero, while the floating-point Tweedie mean and the
-# (1 - ab)/ab covariance factor degenerate to amplified cancellation noise;
-# guidance is skipped outright
+# (1 - ab)/ab covariance factor degenerate to amplified cancellation noise.
+# Such a step is x -> sqrt(1 - beta) x + sqrt(beta) z up to the same order,
+# which keeps N(0, I) fixed, and the diffused prior is N(0, I) to within
+# sqrt(alpha_bar) max_k |U_k|; so chains start at the last step above it.
 _GUIDANCE_AB_MIN = 1e-12
 
 __all__ = [
@@ -85,10 +90,10 @@ def run_unconditional_chains(
     n_chains: int,
     rng_seed: int | np.random.Generator = 0,
 ) -> np.ndarray:
-    """Plain reverse diffusion from x_N ~ N(0, I); returns (n_chains, d)."""
+    """Plain reverse diffusion from x_{t0} ~ N(0, I); returns (n_chains, d)."""
     rng = np.random.default_rng(rng_seed)
-    x = rng.standard_normal((n_chains, prior.dim))
-    for t in range(schedule.n_steps, 0, -1):
+    x, t0 = _start_chains(schedule, n_chains, prior.dim, rng)
+    for t in range(t0, 0, -1):
         score = smoothed_score(prior, x, schedule.alpha_bar_t(t))
         x = reverse_step_unconditional(x, score, schedule, t, rng)
     return x
@@ -103,7 +108,9 @@ def run_guided_chains(
 
     The guidance correction is applied additively in the direction that
     increases measurement consistency.  Chains whose state goes
-    non-finite are frozen at NaN and flagged in the diagnostics.
+    non-finite are frozen at NaN and flagged in the diagnostics.  Chains
+    start at the first guided step t0, so every step runs guidance and
+    the fd-diag curvature estimate has no history at t0 (h = 0).
 
     PiGDM and CA-DPS draw their final x0 from N(x0_hat, Sigma_1)
     conditioned on the observation.  CA-DPS takes Sigma_1 from its diagonal
@@ -117,13 +124,12 @@ def run_guided_chains(
     method = config.method
     rng = np.random.default_rng(config.rng_seed)
     n = config.n_chains
-    x = rng.standard_normal((n, prior.dim))
+    x, t0 = _start_chains(schedule, n, prior.dim, rng)
     state = GuidanceState()
     aborted = np.zeros(n, dtype=bool)
     cg_failures = 0
-    fd_diag = method.tag == "cadps" and method.curvature == "fd-diag"
 
-    for t in range(schedule.n_steps, 0, -1):
+    for t in range(t0, 0, -1):
         ab = schedule.alpha_bar_t(t)
         # flag runaway chains before they overflow downstream products
         bad = ~np.all(np.isfinite(x), axis=1) | (np.max(np.abs(x), axis=1) > 1e10)
@@ -133,13 +139,7 @@ def run_guided_chains(
         x_next = reverse_step_unconditional(x_safe, score, schedule, t, rng)
 
         report = None
-        if ab < _GUIDANCE_AB_MIN:
-            grad = np.zeros_like(x_safe)
-            if fd_diag:
-                # keep the running score current so the finite-difference
-                # Hessian sees adjacent steps once guidance resumes
-                state = GuidanceState(prev_score=score, prev_step=t, prev_x=x_safe)
-        elif method.tag == "cadps":
+        if method.tag == "cadps":
             grad, state, report = guidance_gradient_cadps(
                 x_safe,
                 score,
@@ -153,13 +153,11 @@ def run_guided_chains(
         elif method.tag == "dps":
             jvp = _make_jvp(prior, ab, x_safe)
             grad = guidance_gradient_dps(
-                x_safe, score, schedule, t, meas, zeta=method.zeta, jacobian_vp=jvp
+                x_safe, score, schedule, t, meas, jvp, zeta=method.zeta
             )
         elif method.tag == "pigdm":
             jvp = _make_jvp(prior, ab, x_safe)
-            grad, report = guidance_gradient_pigdm(
-                x_safe, score, schedule, t, meas, jacobian_vp=jvp
-            )
+            grad, report = guidance_gradient_pigdm(x_safe, score, schedule, t, meas, jvp)
         else:  # pragma: no cover - rejected at construction
             raise ValueError(method.tag)
         if report is not None and not report.converged:
@@ -196,6 +194,14 @@ def run_guided_chains(
         x = np.where(aborted[:, None], np.nan, x)
 
     return x, ChainDiagnostics(aborted=aborted, cg_failures=cg_failures)
+
+
+def _start_chains(schedule: NoiseSchedule, n: int, d: int, rng: np.random.Generator):
+    """x_{t0} ~ N(0, I) of shape (n, d) and t0 = max{t : alpha_bar_t >= floor}."""
+    informative = np.flatnonzero(schedule.alpha_bar >= _GUIDANCE_AB_MIN)
+    if informative.size == 0:
+        raise ValueError(f"no step of the schedule has alpha_bar >= {_GUIDANCE_AB_MIN}")
+    return rng.standard_normal((n, d)), int(informative[-1]) + 1
 
 
 def _make_jvp(prior: GaussianMixture, alpha_bar: float, x_t: np.ndarray):

@@ -42,7 +42,7 @@ def test_tracer_installs_and_restores(monkeypatch):
         )
         x = np.array([[1.0, -2.0], [0.5, 3.0]])
         score = sampler.smoothed_score(prior, x, sched.alpha_bar_t(1))
-        sampler.guidance_gradient_pigdm(x, score, sched, 1, meas)
+        sampler.guidance_gradient_pigdm(x, score, sched, 1, meas, lambda v: v)
     finally:
         tracer.restore()
     assert (sampler.smoothed_score, guidance.conjugate_gradient_solve) == originals

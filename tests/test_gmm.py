@@ -13,7 +13,7 @@ from cadps import (
     smoothed_score,
     tweedie_mean,
 )
-from cadps.gmm import _responsibilities, smoothed_score_hvp
+from cadps.gmm import _normalize_log_weights, _responsibilities, smoothed_score_hvp
 from cadps.measurement import MeasurementModel
 
 
@@ -248,6 +248,17 @@ def test_exact_posterior_weights_normalized():
     meas = MeasurementModel(a=a, y=np.array([1.3]), sigma=0.1, x_star=np.zeros(2))
     post = exact_posterior(prior, meas)
     assert abs(logsumexp(post.log_weights)) <= 1e-12
+
+
+def test_normalize_log_weights_matches_scipy_logsumexp():
+    rng = np.random.default_rng(21)
+    for scale in (1.0, 50.0, 800.0):
+        log_w = scale * rng.standard_normal(25)
+        expect = log_w - logsumexp(log_w)
+        assert np.allclose(_normalize_log_weights(log_w), expect, rtol=1e-12, atol=0.0)
+    # large common offsets neither overflow nor lose the normalization
+    out = _normalize_log_weights(np.array([1000.0, 1000.0]))
+    assert np.allclose(out, -np.log(2.0), rtol=1e-12, atol=0.0)
 
 
 def test_sample_mixture_moments():

@@ -155,9 +155,27 @@ def test_all_gradients_vanish_for_zero_operator():
         x, s, sched, t, meas, GuidanceState(), GuidanceMethod(tag="cadps", curvature="fd-diag")
     )
     assert np.allclose(g, 0.0)
-    assert np.allclose(guidance_gradient_dps(x, s, sched, t, meas), 0.0)
-    g, _ = guidance_gradient_pigdm(x, s, sched, t, meas)
+    jvp = make_tweedie_jacobian_vp(prior, ab)
+    assert np.allclose(guidance_gradient_dps(x, s, sched, t, meas, lambda v: jvp(x, v)), 0.0)
+    g, _ = guidance_gradient_pigdm(x, s, sched, t, meas, lambda v: jvp(x, v))
     assert np.allclose(g, 0.0)
+
+
+def test_cadps_directional_requires_score_fn():
+    prior = build_toy_prior(4)
+    sched = _schedule()
+    t = _step_near(sched, 0.5)
+    ab = sched.alpha_bar_t(t)
+    x = np.array([1.0, -0.5, 2.0, 0.3])
+    s = smoothed_score(prior, x, ab)
+    meas = MeasurementModel(
+        a=np.array([[0.6, 0.2, -0.1, 0.4], [0.0, 1.0, 0.5, -0.3]]),
+        y=np.array([0.3, -0.2]),
+        sigma=0.1,
+        x_star=np.zeros(4),
+    )
+    with pytest.raises(ValueError, match="score_fn"):
+        guidance_gradient_cadps(x, s, sched, t, meas, GuidanceState())
 
 
 def test_cadps_scalar_closed_form():
@@ -253,7 +271,8 @@ def test_dps_zero_residual_guard():
     score = smoothed_score(prior, x, ab)
     x0 = tweedie_mean(x, score, ab)
     meas = MeasurementModel(a=np.eye(1), y=np.array([x0[0]]), sigma=0.1, x_star=np.zeros(1))
-    assert np.allclose(guidance_gradient_dps(x, score, sched, t, meas), 0.0)
+    jvp = make_tweedie_jacobian_vp(prior, ab)
+    assert np.allclose(guidance_gradient_dps(x, score, sched, t, meas, lambda v: jvp(x, v)), 0.0)
 
 
 def test_dps_unit_arithmetic():
@@ -307,11 +326,13 @@ def test_pigdm_scalar_closed_form():
     x = np.array([0.7])
     score = smoothed_score(prior, x, ab)
     meas = MeasurementModel(a=0.6 * np.eye(1), y=np.array([1.1]), sigma=0.2, x_star=np.zeros(1))
-    g, report = guidance_gradient_pigdm(x, score, sched, t, meas, jacobian_vp=None)
+    jvp = make_tweedie_jacobian_vp(prior, ab)
+    g, report = guidance_gradient_pigdm(x, score, sched, t, meas, lambda v: jvp(x, v))
     sq = snr_sigma_sq(sched, t)
     rt2 = sq / (1 + sq)
     x0 = tweedie_mean(x, score, ab)
-    expect = (1 / np.sqrt(ab)) * 0.6 * (meas.y[0] - 0.6 * x0[0]) / (meas.sigma**2 + rt2 * 0.36)
+    # one unit Gaussian: H = -I, so J = (1 + (1 - ab) H) / sqrt(ab) = sqrt(ab)
+    expect = np.sqrt(ab) * 0.6 * (meas.y[0] - 0.6 * x0[0]) / (meas.sigma**2 + rt2 * 0.36)
     assert g[0] == pytest.approx(expect, rel=1e-4)
     assert report.converged
 

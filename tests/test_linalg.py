@@ -84,6 +84,20 @@ def test_gaussian_log_pdf_integrates_to_one():
     assert trapezoid(vals, grid) == pytest.approx(1.0, abs=1e-3)
 
 
+def test_gaussian_log_pdf_matches_scipy_triangular_solve():
+    from scipy.linalg import solve_triangular
+
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        k = int(rng.integers(1, 9))
+        cov = _random_spd(k, rng)
+        x, mean = rng.standard_normal(k), rng.standard_normal(k)
+        chol = np.linalg.cholesky(cov)
+        z = solve_triangular(chol, x - mean, lower=True)
+        expect = -0.5 * z @ z - np.sum(np.log(np.diag(chol))) - 0.5 * k * np.log(2 * np.pi)
+        assert gaussian_log_pdf(x, mean, cov) == pytest.approx(expect, rel=1e-12)
+
+
 def test_gaussian_log_pdf_rejects_bad_input():
     with pytest.raises(Exception):
         gaussian_log_pdf(np.zeros(2), np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))

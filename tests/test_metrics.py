@@ -105,15 +105,17 @@ def test_aggregate_ci_t_quantile():
 def test_import_leaves_out_scipy_stats():
     src = str(Path(cadps.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, cadps; print([m in sys.modules for m in sys.argv[1:]])"
+    modules = ["scipy.stats", "scipy.linalg", "scipy.special"]
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, cadps; print('scipy.stats' in sys.modules)"],
+        [sys.executable, "-c", probe, *modules],
         env=env,
         capture_output=True,
         text=True,
         check=True,
         timeout=60,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == str([False] * len(modules))
 
 
 def test_aggregate_ci_coverage():

@@ -143,3 +143,62 @@ def test_guidance_skipped_below_alpha_bar_floor(tag, monkeypatch):
     cfg = ChainConfig(schedule=sched, method=GuidanceMethod(tag=tag), rng_seed=13, n_chains=4)
     run_guided_chains(prior, meas, cfg)
     assert seen == [above, 0.1, 0.5]
+
+
+def _harness_schedule():
+    # the smoke grid's schedule: 200 steps, beta from 0.1 to 500
+    return build_linear_vp_schedule(200, 0.1, 500.0)
+
+
+@pytest.mark.parametrize("tag", ["cadps", "dps", "pigdm"])
+def test_score_never_evaluated_below_alpha_bar_floor(tag, monkeypatch):
+    sched = _harness_schedule()
+    seen = []
+    original = sampler.smoothed_score
+
+    def counting(prior, x, alpha_bar):
+        seen.append(alpha_bar)
+        return original(prior, x, alpha_bar)
+
+    monkeypatch.setattr(sampler, "smoothed_score", counting)
+    rng = np.random.default_rng(14)
+    m = 2
+    meas = MeasurementModel(
+        a=rng.standard_normal((m, 4)), y=rng.standard_normal(m), sigma=0.1, x_star=np.zeros(4)
+    )
+    cfg = ChainConfig(schedule=sched, method=GuidanceMethod(tag=tag), rng_seed=15, n_chains=4)
+    _, diags = run_guided_chains(build_toy_prior(4), meas, cfg)
+    assert diags.n_aborted == 0
+    assert min(seen) >= _GUIDANCE_AB_MIN
+    # CA-DPS adds two score evaluations per measurement direction
+    per_step = 1 + 2 * m if tag == "cadps" else 1
+    assert len(seen) == 55 * per_step
+
+
+def _unconditional_from(prior, sched, n, seed, t_start):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, prior.dim))
+    for t in range(t_start, 0, -1):
+        score = smoothed_score(prior, x, sched.alpha_bar_t(t))
+        x = reverse_step_unconditional(x, score, sched, t, rng)
+    return x
+
+
+def test_unconditional_chains_start_at_first_guided_step():
+    prior = build_toy_prior(2)
+    # every step above the floor: the chains run all N steps, as before
+    mild = build_linear_vp_schedule(50, 0.1, 20.0)
+    assert mild.alpha_bar[-1] >= _GUIDANCE_AB_MIN
+    got = run_unconditional_chains(prior, mild, 8, rng_seed=16)
+    assert np.array_equal(got, _unconditional_from(prior, mild, 8, 16, 50))
+    # the harness schedule: steps 56..200 lie below the floor and are not run
+    sched = _harness_schedule()
+    assert sched.alpha_bar_t(55) >= _GUIDANCE_AB_MIN > sched.alpha_bar_t(56)
+    got = run_unconditional_chains(prior, sched, 8, rng_seed=16)
+    assert np.array_equal(got, _unconditional_from(prior, sched, 8, 16, 55))
+
+
+def test_schedule_without_guided_step_rejected():
+    sched = _schedule_from_alpha_bar([_GUIDANCE_AB_MIN / 2, _GUIDANCE_AB_MIN / 4])
+    with pytest.raises(ValueError, match="alpha_bar"):
+        run_unconditional_chains(_single_gaussian(2), sched, 2)
