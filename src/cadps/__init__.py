@@ -7,8 +7,8 @@ Library layout:
     measurement  random linear-Gaussian measurement models
     guidance     DPS / PiGDM / covariance-aware likelihood corrections
     sampler      ancestral reverse diffusion, guided and unconditional
-    metrics      sliced-Wasserstein distance, CI aggregation
-    harness      experiment grid, CSV/JSONL emission
+    metrics      sliced-Wasserstein distance SW_2, CI aggregation
+    harness      experiment grid (every run setting), CSV/JSONL emission
 """
 
 from .schedule import NoiseSchedule, build_linear_vp_schedule, snr_sigma_sq
@@ -47,7 +47,7 @@ from .sampler import (
     run_guided_chains,
     run_unconditional_chains,
 )
-from .metrics import SwConfig, aggregate_ci, sliced_wasserstein
+from .metrics import aggregate_ci, draw_slice_directions, sliced_wasserstein
 from .harness import (
     ExperimentGrid,
     ExperimentRecord,

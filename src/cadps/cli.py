@@ -1,7 +1,8 @@
 """Command-line entry point for the experiment harness.
 
 Flags override the JSON config; exit code 0 only if no cell was flagged
-invalid (> 10% aborted chains).
+invalid (> 10% aborted chains).  An invalid setting, such as a zero
+count, raises ValueError.
 """
 
 from __future__ import annotations
@@ -11,8 +12,16 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .guidance import GuidanceMethod
-from .harness import ExperimentGrid, emit_results, load_grid_from_json, run_grid
+from .guidance import METHOD_TAGS, GuidanceMethod
+from .harness import emit_results, load_grid_from_json, run_grid
+
+# integer flags, each setting the ExperimentGrid field it is stored under
+_GRID_FLAGS = (
+    ("--chains", "chains_per_model", "chains per model"),
+    ("--models", "models_per_cell", "measurement models per cell"),
+    ("--slices", "n_slices", "sliced-Wasserstein slice count"),
+    ("--steps", "n_steps", "reverse diffusion steps"),
+)
 
 
 def _parse_cell(text: str):
@@ -35,13 +44,11 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="d,m,sigma",
         help="restrict the run to one or more cells",
     )
-    p.add_argument("--methods", nargs="+", choices=["cadps", "dps", "pigdm"])
+    p.add_argument("--methods", nargs="+", choices=METHOD_TAGS)
     p.add_argument("--seed", type=int, help="master seed")
     p.add_argument("--out", type=Path, help="output directory")
-    p.add_argument("--chains", type=int, help="chains per model")
-    p.add_argument("--models", type=int, help="measurement models per cell")
-    p.add_argument("--slices", type=int, help="sliced-Wasserstein slice count")
-    p.add_argument("--steps", type=int, help="reverse diffusion steps")
+    for flag, dest, text in _GRID_FLAGS:
+        p.add_argument(flag, type=int, dest=dest, help=text)
     p.add_argument("--zeta", type=float, help="DPS guidance strength")
     p.add_argument("--smoke", action="store_true", help="desk-scale defaults")
     p.add_argument(
@@ -54,27 +61,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.config:
-        grid, master_seed, out_dir = load_grid_from_json(args.config)
-    else:
-        grid, master_seed, out_dir = ExperimentGrid(), 0, "results"
+    grid, master_seed, out_dir = load_grid_from_json(args.config)
     if args.smoke:
         grid = grid.smoke()
-    overrides = {}
+    overrides = {k: v for _, k, _ in _GRID_FLAGS if (v := getattr(args, k)) is not None}
     if args.methods:
         overrides["methods"] = tuple(GuidanceMethod(tag=m) for m in args.methods)
-    if args.chains:
-        overrides["chains_per_model"] = args.chains
-    if args.models:
-        overrides["models_per_cell"] = args.models
-    if args.slices:
-        overrides["n_slices"] = args.slices
-    if args.steps:
-        overrides["n_steps"] = args.steps
     if args.no_timing:
         overrides["record_timing"] = False
-    if overrides:
-        grid = replace(grid, **overrides)
+    grid = replace(grid, **overrides)
     if args.zeta is not None:
         grid = replace(
             grid,

@@ -149,14 +149,14 @@ def smoothed_score_hvp(
     return out[0] if squeeze else out
 
 
-def make_tweedie_jacobian_vp(prior: GaussianMixture, alpha_bar: float):
-    """Exact d(x0_hat)/d(x_t) applied to a vector, via the analytic Hessian.
+def make_tweedie_jacobian_vp(prior: GaussianMixture, alpha_bar: float, x_t: np.ndarray):
+    """Exact d(x0_hat)/d(x_t) at x_t applied to a vector, via the analytic Hessian.
 
     J = (1/sqrt(ab)) (I + (1 - ab) H); the returned callable maps
-    (x_t, v) -> J v with the same batching as smoothed_score.
+    v -> J v with the same batching as smoothed_score.
     """
 
-    def jvp(x_t: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def jvp(v: np.ndarray) -> np.ndarray:
         hv = smoothed_score_hvp(prior, x_t, alpha_bar, v)
         return (v + (1.0 - alpha_bar) * hv) / np.sqrt(alpha_bar)
 

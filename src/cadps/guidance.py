@@ -22,6 +22,7 @@ from .measurement import MeasurementModel, residual
 from .schedule import NoiseSchedule, snr_sigma_sq
 
 __all__ = [
+    "METHOD_TAGS",
     "GuidanceMethod",
     "GuidanceState",
     "tweedie_mean",
@@ -36,6 +37,9 @@ __all__ = [
 ]
 
 CG_TOL = 1e-4
+
+# the guidance rules; the harness seeds each method's chains from its index
+METHOD_TAGS = ("cadps", "dps", "pigdm")
 
 # ceiling on the covariance diagonal: (1 - ab)/ab blows past 1e200 in the
 # pure-noise regime of short, heavily capped schedules, overflowing the
@@ -56,12 +60,12 @@ class GuidanceMethod:
     consecutive trajectory scores (one score evaluation per step).
     """
 
-    tag: str  # one of "dps", "pigdm", "cadps"
+    tag: str  # one of METHOD_TAGS
     zeta: float = 1.0
     curvature: str = "fd-directional"
 
     def __post_init__(self):
-        if self.tag not in ("dps", "pigdm", "cadps"):
+        if self.tag not in METHOD_TAGS:
             raise ValueError(f"unknown guidance tag {self.tag!r}")
         if self.tag == "dps" and self.zeta <= 0:
             raise ValueError("zeta must be positive for DPS")
@@ -120,23 +124,17 @@ def fd_score_hvp(
 ) -> np.ndarray:
     """Hessian-vector product H(x) v by central differencing of the score.
 
-    x and v are (d,) or batched (n, d); the difference is taken along the
-    unit direction of each row so eps controls the absolute step size.
-    Rows with v = 0 return 0.
+    x is (d,) or batched (n, d); the direction v of shape (d,) is shared
+    by every row.  The difference is taken along the unit direction of v,
+    so eps controls the absolute step size.  v = 0 returns zeros.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    norm = np.linalg.norm(np.atleast_2d(v), axis=-1)
-    if v.ndim == 1:
-        norm = norm[0]
-        if norm == 0.0:
-            return np.zeros_like(v)
-        unit = v / norm
-        return norm * (score_fn(x + eps * unit) - score_fn(x - eps * unit)) / (2.0 * eps)
-    safe = np.where(norm > 0, norm, 1.0)[:, None]
-    unit = v / safe
-    hvp = (score_fn(x + eps * unit) - score_fn(x - eps * unit)) / (2.0 * eps)
-    return np.where(norm[:, None] > 0, safe * hvp, 0.0)
+    norm = np.linalg.norm(v[None], axis=-1)[0]
+    if norm == 0.0:
+        return np.zeros(np.shape(x))
+    unit = v / norm
+    return norm * ((score_fn(x + eps * unit) - score_fn(x - eps * unit)) / (2.0 * eps))
 
 
 def fd_score_hessian(
@@ -243,9 +241,8 @@ def guidance_gradient_cadps(
         # filled in place: stacking a list would hold every row twice
         rows = np.empty(np.shape(x_t)[:-1] + meas.a.shape)  # (..., m, d)
         for i in range(meas.m):
-            a_i = np.broadcast_to(meas.a[i], np.shape(x_t)).copy()
-            hv = fd_score_hvp(score_fn, x_t, a_i, eps)
-            rows[..., i, :] = cov_fac * (a_i + (1.0 - ab) * hv)
+            hv = fd_score_hvp(score_fn, x_t, meas.a[i], eps)
+            rows[..., i, :] = cov_fac * (meas.a[i] + (1.0 - ab) * hv)
         lam, report = _solve_likelihood(meas, _clip_psd(rows @ meas.a.T), rhs)
         return jac * np.einsum("...i,...id->...d", lam, rows), state, report
 
@@ -301,16 +298,8 @@ def guidance_gradient_dps(
         raise ValueError("zeta must be positive")
     ab = schedule.alpha_bar_t(t)
     r = residual(meas, tweedie_mean(x_t, score, ab))
-    rnorm = np.linalg.norm(np.atleast_2d(r), axis=-1)
-    if r.ndim == 1:
-        rnorm = rnorm[0]
-        if rnorm == 0.0:
-            return np.zeros_like(x_t)
-        coeff = 2.0 * zeta / rnorm
-    else:
-        coeff = np.where(rnorm > 0, 2.0 * zeta / np.where(rnorm > 0, rnorm, 1.0), 0.0)[
-            :, None
-        ]
+    rnorm = np.linalg.norm(r, axis=-1, keepdims=True)
+    coeff = np.where(rnorm > 0, 2.0 * zeta / np.where(rnorm > 0, rnorm, 1.0), 0.0)
     return coeff * jacobian_vp(r @ meas.a)
 
 

@@ -2,8 +2,10 @@
 
 Builds the (d, m, sigma) grid, runs every guidance method over repeated
 random measurement models with many chains each, scores the samples
-against exact-posterior references with the sliced-Wasserstein distance,
-and emits machine-readable tables.
+against exact-posterior references with the sliced-Wasserstein distance
+SW_2, and emits machine-readable tables.  ExperimentGrid holds every run
+setting and its default; the config file and the CLI flags set its fields
+by name.
 """
 
 from __future__ import annotations
@@ -11,22 +13,21 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .gmm import build_toy_prior, exact_posterior, sample_mixture
-from .guidance import GuidanceMethod
+from .guidance import METHOD_TAGS, GuidanceMethod
 from .measurement import generate_measurement_matrix, generate_observation
-from .metrics import SwConfig, aggregate_ci, draw_slice_directions, sliced_wasserstein
+from .metrics import aggregate_ci, draw_slice_directions, sliced_wasserstein
 from .sampler import ChainConfig, run_guided_chains
 from .schedule import build_linear_vp_schedule
 
 __all__ = [
     "ExperimentGrid",
     "ExperimentRecord",
-    "default_methods",
     "run_cell",
     "run_grid",
     "emit_results",
@@ -42,16 +43,7 @@ _STREAM_MATRIX = 0
 _STREAM_OBSERVATION = 1
 _STREAM_REFERENCE = 2
 _STREAM_SLICES = 3
-_STREAM_CHAINS = 10  # + the method's index in _METHOD_TAGS
-_METHOD_TAGS = ("cadps", "dps", "pigdm")
-
-
-def default_methods() -> list[GuidanceMethod]:
-    return [
-        GuidanceMethod(tag="cadps"),
-        GuidanceMethod(tag="dps"),
-        GuidanceMethod(tag="pigdm"),
-    ]
+_STREAM_CHAINS = 10  # + the method's index in METHOD_TAGS
 
 
 @dataclass(frozen=True)
@@ -61,18 +53,19 @@ class ExperimentGrid:
     sigmas: tuple[float, ...] = (0.01, 0.1, 1.0)
     models_per_cell: int = 20
     chains_per_model: int = 1000
-    methods: tuple[GuidanceMethod, ...] = field(default_factory=lambda: tuple(default_methods()))
+    methods: tuple[GuidanceMethod, ...] = field(
+        default_factory=lambda: tuple(GuidanceMethod(tag=t) for t in METHOD_TAGS)
+    )
     n_steps: int = 1000
     beta_min: float = 0.1
     beta_max: float = 500.0
     n_slices: int = 10_000
-    sw_order: int = 2
     record_timing: bool = True
 
     def __post_init__(self):
         if not (self.dims and self.ms and self.sigmas and self.methods):
             raise ValueError("grid sets must be nonempty")
-        if self.models_per_cell < 1 or self.chains_per_model < 1:
+        if min(self.models_per_cell, self.chains_per_model, self.n_slices) < 1:
             raise ValueError("counts must be positive")
 
     def smoke(self) -> "ExperimentGrid":
@@ -145,14 +138,13 @@ def run_model(
         grid.n_slices,
         np.random.default_rng(_seed(master_seed, d, m, sigma, model_index, _STREAM_SLICES)),
     )
-    sw_cfg = SwConfig(n_slices=grid.n_slices, order=grid.sw_order)
 
     records = []
     samples_out = {"reference": reference} if keep_samples else {}
     total = aborted = 0
     for method in grid.methods:
         t0 = time.perf_counter()
-        stream = _STREAM_CHAINS + _METHOD_TAGS.index(method.tag)
+        stream = _STREAM_CHAINS + METHOD_TAGS.index(method.tag)
         cfg = ChainConfig(
             schedule=schedule,
             method=method,
@@ -169,7 +161,7 @@ def run_model(
         if n_ok == 0:
             sw = float("nan")
         else:
-            sw = sliced_wasserstein(chains[ok], reference[:n_ok], sw_cfg, directions=directions)
+            sw = sliced_wasserstein(chains[ok], reference[:n_ok], directions=directions)
         wall_ms = (time.perf_counter() - t0) * 1000.0 if grid.record_timing else 0.0
         records.append(
             ExperimentRecord(
@@ -307,27 +299,27 @@ def emit_scatter(samples: np.ndarray, reference: np.ndarray, path) -> Path:
     return path
 
 
-def load_grid_from_json(path) -> tuple[ExperimentGrid, int, str]:
-    """Read a run configuration file; returns (grid, master_seed, out_dir)."""
-    with open(path) as fh:
-        cfg = json.load(fh)
-    methods = []
-    for entry in cfg.get("methods", ["cadps", "dps", "pigdm"]):
-        if isinstance(entry, str):
-            entry = {"tag": entry}
-        methods.append(GuidanceMethod(**entry))
-    grid = ExperimentGrid(
-        dims=tuple(cfg.get("dims", (8, 80, 800))),
-        ms=tuple(cfg.get("ms", (1, 2, 4))),
-        sigmas=tuple(cfg.get("sigmas", (0.01, 0.1, 1.0))),
-        models_per_cell=cfg.get("models_per_cell", 20),
-        chains_per_model=cfg.get("chains_per_model", 1000),
-        methods=tuple(methods),
-        n_steps=cfg.get("n_steps", 1000),
-        beta_min=cfg.get("beta_min", 0.1),
-        beta_max=cfg.get("beta_max", 500.0),
-        n_slices=cfg.get("n_slices", 10_000),
-        sw_order=cfg.get("sw_order", 2),
-        record_timing=cfg.get("record_timing", True),
-    )
-    return grid, int(cfg.get("master_seed", 0)), cfg.get("out_dir", "results")
+def load_grid_from_json(path=None) -> tuple[ExperimentGrid, int, str]:
+    """Read a run configuration file; returns (grid, master_seed, out_dir).
+
+    The keys are master_seed, out_dir and ExperimentGrid field names;
+    an unknown key raises ValueError.  Methods are tags or GuidanceMethod
+    keyword dicts.  Absent keys, or no path at all, keep the defaults.
+    """
+    cfg = {}
+    if path is not None:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    master_seed = int(cfg.pop("master_seed", 0))
+    out_dir = cfg.pop("out_dir", "results")
+    unknown = sorted(set(cfg) - {f.name for f in fields(ExperimentGrid)})
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    for key in ("dims", "ms", "sigmas"):
+        if key in cfg:
+            cfg[key] = tuple(cfg[key])
+    if "methods" in cfg:
+        cfg["methods"] = tuple(
+            GuidanceMethod(**({"tag": e} if isinstance(e, str) else e)) for e in cfg["methods"]
+        )
+    return ExperimentGrid(**cfg), master_seed, out_dir

@@ -1,27 +1,12 @@
-"""Sliced-Wasserstein distance and confidence-interval aggregation."""
+"""Sliced-Wasserstein distance SW_2 and confidence-interval aggregation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["SwConfig", "sliced_wasserstein", "aggregate_ci", "draw_slice_directions"]
+__all__ = ["sliced_wasserstein", "aggregate_ci", "draw_slice_directions"]
 
 _SLICE_CHUNK = 2048  # keep the (n_samples, n_slices) projection blocks small
-
-
-@dataclass(frozen=True)
-class SwConfig:
-    n_slices: int = 10_000
-    order: int = 2
-    rng_seed: int | np.random.Generator = 0
-
-    def __post_init__(self):
-        if self.n_slices < 1:
-            raise ValueError("n_slices must be >= 1")
-        if self.order not in (1, 2):
-            raise ValueError("Wasserstein order must be 1 or 2")
 
 
 def draw_slice_directions(d: int, n_slices: int, rng_seed) -> np.ndarray:
@@ -37,17 +22,15 @@ def draw_slice_directions(d: int, n_slices: int, rng_seed) -> np.ndarray:
 
 
 def sliced_wasserstein(
-    sample_a: np.ndarray,
-    sample_b: np.ndarray,
-    cfg: SwConfig = SwConfig(),
-    directions: np.ndarray | None = None,
+    sample_a: np.ndarray, sample_b: np.ndarray, directions: np.ndarray
 ) -> float:
-    """SW_p between two equally sized sample sets.
+    """SW_2 between two equally sized sample sets along the given slices.
 
-    Per slice the 1-D Wasserstein-p distance is the sorted matching
-    (1/n) sum |a_(i) - b_(i)|^p; the result is the mean over slices
-    raised to 1/p.  Passing ``directions`` shares slices across calls
-    (common random numbers for method comparisons).
+    ``directions`` is (n_slices, d), unit rows as from draw_slice_directions;
+    sharing them across calls gives common random numbers for method
+    comparisons.  Per slice the squared 1-D Wasserstein-2 distance is the
+    sorted matching (1/n) sum (a_(i) - b_(i))^2; the result is the square
+    root of its mean over slices.
     """
     a = np.asarray(sample_a, dtype=np.float64)
     b = np.asarray(sample_b, dtype=np.float64)
@@ -56,22 +39,17 @@ def sliced_wasserstein(
     n, d = a.shape
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    if directions is None:
-        directions = draw_slice_directions(d, cfg.n_slices, cfg.rng_seed)
-    p = cfg.order
     total = 0.0
     for start in range(0, directions.shape[0], _SLICE_CHUNK):
         dirs = directions[start : start + _SLICE_CHUNK]
         proj_a = np.sort(a @ dirs.T, axis=0)
         proj_b = np.sort(b @ dirs.T, axis=0)
-        diff = np.abs(proj_a - proj_b)
-        total += float(np.sum(diff if p == 1 else diff**2)) / n
-    mean = total / directions.shape[0]
-    return mean if p == 1 else float(np.sqrt(mean))
+        total += float(np.sum((proj_a - proj_b) ** 2)) / n
+    return float(np.sqrt(total / directions.shape[0]))
 
 
-def aggregate_ci(values, level: float = 0.95):
-    """Mean and t-distribution halfwidth over repeated measurement models."""
+def aggregate_ci(values):
+    """Mean and 95% t-distribution halfwidth over repeated measurement models."""
     # imported here: scipy.special alone doubles the package's import cost
     from scipy.special import stdtrit
 
@@ -81,5 +59,5 @@ def aggregate_ci(values, level: float = 0.95):
         raise ValueError("need at least 2 values for a confidence interval")
     mean = float(values.mean())
     s = float(values.std(ddof=1))
-    halfwidth = float(stdtrit(k - 1, 0.5 + level / 2.0) * s / np.sqrt(k))
+    halfwidth = float(stdtrit(k - 1, 0.5 + 0.95 / 2.0) * s / np.sqrt(k))
     return mean, halfwidth

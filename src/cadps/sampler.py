@@ -151,12 +151,12 @@ def run_guided_chains(
                 score_fn=lambda xx, _ab=ab: smoothed_score(prior, xx, _ab),
             )
         elif method.tag == "dps":
-            jvp = _make_jvp(prior, ab, x_safe)
+            jvp = make_tweedie_jacobian_vp(prior, ab, x_safe)
             grad = guidance_gradient_dps(
                 x_safe, score, schedule, t, meas, jvp, zeta=method.zeta
             )
         elif method.tag == "pigdm":
-            jvp = _make_jvp(prior, ab, x_safe)
+            jvp = make_tweedie_jacobian_vp(prior, ab, x_safe)
             grad, report = guidance_gradient_pigdm(x_safe, score, schedule, t, meas, jvp)
         else:  # pragma: no cover - rejected at construction
             raise ValueError(method.tag)
@@ -202,9 +202,3 @@ def _start_chains(schedule: NoiseSchedule, n: int, d: int, rng: np.random.Genera
     if informative.size == 0:
         raise ValueError(f"no step of the schedule has alpha_bar >= {_GUIDANCE_AB_MIN}")
     return rng.standard_normal((n, d)), int(informative[-1]) + 1
-
-
-def _make_jvp(prior: GaussianMixture, alpha_bar: float, x_t: np.ndarray):
-    """Bind the exact Jacobian-vector product to the current chain state."""
-    exact = make_tweedie_jacobian_vp(prior, alpha_bar)
-    return lambda v: exact(x_t, v)

@@ -155,9 +155,9 @@ def test_all_gradients_vanish_for_zero_operator():
         x, s, sched, t, meas, GuidanceState(), GuidanceMethod(tag="cadps", curvature="fd-diag")
     )
     assert np.allclose(g, 0.0)
-    jvp = make_tweedie_jacobian_vp(prior, ab)
-    assert np.allclose(guidance_gradient_dps(x, s, sched, t, meas, lambda v: jvp(x, v)), 0.0)
-    g, _ = guidance_gradient_pigdm(x, s, sched, t, meas, lambda v: jvp(x, v))
+    jvp = make_tweedie_jacobian_vp(prior, ab, x)
+    assert np.allclose(guidance_gradient_dps(x, s, sched, t, meas, jvp), 0.0)
+    g, _ = guidance_gradient_pigdm(x, s, sched, t, meas, jvp)
     assert np.allclose(g, 0.0)
 
 
@@ -271,8 +271,8 @@ def test_dps_zero_residual_guard():
     score = smoothed_score(prior, x, ab)
     x0 = tweedie_mean(x, score, ab)
     meas = MeasurementModel(a=np.eye(1), y=np.array([x0[0]]), sigma=0.1, x_star=np.zeros(1))
-    jvp = make_tweedie_jacobian_vp(prior, ab)
-    assert np.allclose(guidance_gradient_dps(x, score, sched, t, meas, lambda v: jvp(x, v)), 0.0)
+    jvp = make_tweedie_jacobian_vp(prior, ab, x)
+    assert np.allclose(guidance_gradient_dps(x, score, sched, t, meas, jvp), 0.0)
 
 
 def test_dps_unit_arithmetic():
@@ -305,8 +305,8 @@ def test_dps_matches_fd_of_objective():
         r = meas.y - a @ tweedie_mean(z, s, ab)
         return float(r @ r)
 
-    jvp = make_tweedie_jacobian_vp(prior, ab)
-    g = guidance_gradient_dps(x, score, sched, t, meas, zeta=1.0, jacobian_vp=lambda v: jvp(x, v))
+    jvp = make_tweedie_jacobian_vp(prior, ab, x)
+    g = guidance_gradient_dps(x, score, sched, t, meas, zeta=1.0, jacobian_vp=jvp)
     r0 = meas.y - a @ tweedie_mean(x, score, ab)
     eps = 1e-6
     fd = np.zeros(2)
@@ -326,8 +326,8 @@ def test_pigdm_scalar_closed_form():
     x = np.array([0.7])
     score = smoothed_score(prior, x, ab)
     meas = MeasurementModel(a=0.6 * np.eye(1), y=np.array([1.1]), sigma=0.2, x_star=np.zeros(1))
-    jvp = make_tweedie_jacobian_vp(prior, ab)
-    g, report = guidance_gradient_pigdm(x, score, sched, t, meas, lambda v: jvp(x, v))
+    jvp = make_tweedie_jacobian_vp(prior, ab, x)
+    g, report = guidance_gradient_pigdm(x, score, sched, t, meas, jvp)
     sq = snr_sigma_sq(sched, t)
     rt2 = sq / (1 + sq)
     x0 = tweedie_mean(x, score, ab)
@@ -368,14 +368,15 @@ def test_fd_score_hvp_matches_analytic():
     ab = 0.6
     rng = np.random.default_rng(6)
     x = rng.uniform(-8, 8, (5, 2))
-    v = rng.standard_normal((5, 2))
-    fd = fd_score_hvp(lambda z: smoothed_score(prior, z, ab), x, v, eps=1e-5)
-    exact = smoothed_score_hvp(prior, x, ab, v)
+    v = rng.standard_normal(2)  # one direction shared by every row
+    score_fn = lambda z: smoothed_score(prior, z, ab)  # noqa: E731
+    fd = fd_score_hvp(score_fn, x, v, eps=1e-5)
+    exact = smoothed_score_hvp(prior, x, ab, np.broadcast_to(v, x.shape))
+    assert fd.shape == x.shape
     assert np.allclose(fd, exact, atol=1e-5)
-    # zero direction maps to zero
-    assert np.allclose(
-        fd_score_hvp(lambda z: smoothed_score(prior, z, ab), x[0], np.zeros(2), eps=1e-5), 0.0
-    )
+    # zero direction maps to zeros, batched and single
+    assert np.array_equal(fd_score_hvp(score_fn, x, np.zeros(2), eps=1e-5), np.zeros((5, 2)))
+    assert np.array_equal(fd_score_hvp(score_fn, x[0], np.zeros(2), eps=1e-5), np.zeros(2))
 
 
 def test_sample_final_conditional_moments():
@@ -407,10 +408,8 @@ def test_pigdm_batched_matches_dense_solve():
     score = smoothed_score(prior, x, ab)
     a = rng.standard_normal((4, 8))
     meas = MeasurementModel(a=a, y=rng.standard_normal(4), sigma=0.2, x_star=np.zeros(8))
-    jvp = make_tweedie_jacobian_vp(prior, ab)
-    g, report = guidance_gradient_pigdm(
-        x, score, sched, t, meas, jacobian_vp=lambda v: jvp(x, v)
-    )
+    jvp = make_tweedie_jacobian_vp(prior, ab, x)
+    g, report = guidance_gradient_pigdm(x, score, sched, t, meas, jacobian_vp=jvp)
     assert report.converged
     gram = meas.sigma**2 * np.eye(4) + (1 - ab) * a @ a.T
     for i in range(5):

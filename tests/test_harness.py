@@ -6,7 +6,13 @@ import pytest
 
 from cadps import ExperimentGrid, GuidanceMethod, emit_results, emit_scatter, run_cell
 from cadps.cli import main as cli_main
-from cadps.harness import ExperimentRecord, parse_results_csv, run_grid, run_model
+from cadps.harness import (
+    ExperimentRecord,
+    load_grid_from_json,
+    parse_results_csv,
+    run_grid,
+    run_model,
+)
 
 
 def _tiny_grid(**kw):
@@ -224,3 +230,48 @@ def test_cli_zeta_sets_config_dps(tmp_path):
     base = parse_results_csv(tmp_path / "base/records.csv")
     zeta = parse_results_csv(tmp_path / "zeta/records.csv")
     assert [r.sw for r in zeta] != [r.sw for r in base]
+
+
+@pytest.mark.parametrize("field", ["models_per_cell", "chains_per_model", "n_slices"])
+def test_grid_rejects_zero_counts(field):
+    with pytest.raises(ValueError):
+        ExperimentGrid(**{field: 0})
+
+
+def test_config_rejects_unknown_keys(tmp_path):
+    # typos of chains_per_model and n_slices, and the removed sw_order
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"chains": 10, "n_slice": 5, "sw_order": 1, "n_steps": 30}))
+    with pytest.raises(ValueError, match="chains, n_slice, sw_order"):
+        load_grid_from_json(cfg_path)
+    with pytest.raises(ValueError, match="unknown config keys"):
+        cli_main(["--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_keys_are_grid_fields(tmp_path):
+    cfg = {"dims": [8], "sigmas": [0.1], "n_slices": 7, "record_timing": False}
+    cfg["methods"] = ["pigdm", {"tag": "dps", "zeta": 0.5}]
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    grid, seed, out_dir = load_grid_from_json(cfg_path)
+    assert (seed, out_dir) == (0, "results")
+    assert grid == replace(
+        ExperimentGrid(),
+        dims=(8,),
+        sigmas=(0.1,),
+        n_slices=7,
+        record_timing=False,
+        methods=(GuidanceMethod(tag="pigdm"), GuidanceMethod(tag="dps", zeta=0.5)),
+    )
+    assert load_grid_from_json() == (ExperimentGrid(), 0, "results")
+
+
+@pytest.mark.parametrize("flag", ["--chains", "--models", "--slices", "--steps"])
+def test_cli_zero_count_flag_rejected(tmp_path, flag):
+    counts = {"--chains": "20", "--models": "1", "--slices": "50", "--steps": "30"}
+    counts[flag] = "0"
+    args = ["--cell", "8,1,1.0", "--no-timing", "--out", str(tmp_path)]
+    with pytest.raises(ValueError):
+        cli_main(args + [a for kv in counts.items() for a in kv])
+    assert not (tmp_path / "records.csv").exists()

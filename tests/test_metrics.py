@@ -7,28 +7,30 @@ import numpy as np
 import pytest
 
 import cadps
-from cadps import SwConfig, aggregate_ci, sliced_wasserstein
-from cadps.metrics import draw_slice_directions
+from cadps import aggregate_ci, draw_slice_directions, sliced_wasserstein
+
+
+def _dirs(d, n_slices, seed=0):
+    return draw_slice_directions(d, n_slices, np.random.default_rng(seed))
 
 
 def test_identity_is_zero():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((50, 3))
-    assert sliced_wasserstein(a, a.copy(), SwConfig(n_slices=100)) == 0.0
+    assert sliced_wasserstein(a, a.copy(), _dirs(3, 100)) == 0.0
 
 
 def test_permuted_copy_is_zero():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((64, 2))
     b = a[rng.permutation(64)]
-    assert sliced_wasserstein(a, b, SwConfig(n_slices=200)) == pytest.approx(0.0, abs=1e-12)
+    assert sliced_wasserstein(a, b, _dirs(2, 200)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_one_dimensional_shift():
     a = np.zeros((2, 1))
     b = np.ones((2, 1))
-    for p in (1, 2):
-        assert sliced_wasserstein(a, b, SwConfig(n_slices=64, order=p)) == pytest.approx(1.0)
+    assert sliced_wasserstein(a, b, _dirs(1, 64)) == pytest.approx(1.0)
 
 
 def test_matches_naive_implementation():
@@ -36,7 +38,7 @@ def test_matches_naive_implementation():
     a = rng.standard_normal((64, 2))
     b = rng.standard_normal((64, 2))
     dirs = draw_slice_directions(2, 128, np.random.default_rng(3))
-    got = sliced_wasserstein(a, b, SwConfig(n_slices=128, order=2), directions=dirs)
+    got = sliced_wasserstein(a, b, directions=dirs)
     acc = 0.0
     for u in dirs:
         pa = sorted(a @ u)
@@ -51,13 +53,10 @@ def test_symmetry_and_translation():
     a = rng.standard_normal((40, 3))
     b = rng.standard_normal((40, 3))
     dirs = draw_slice_directions(3, 100, np.random.default_rng(5))
-    cfg = SwConfig(n_slices=100)
-    assert sliced_wasserstein(a, b, cfg, directions=dirs) == sliced_wasserstein(
-        b, a, cfg, directions=dirs
-    )
+    assert sliced_wasserstein(a, b, dirs) == sliced_wasserstein(b, a, dirs)
     shift = np.array([5.0, -2.0, 1.0])
-    assert sliced_wasserstein(a + shift, b + shift, cfg, directions=dirs) == pytest.approx(
-        sliced_wasserstein(a, b, cfg, directions=dirs), abs=1e-12
+    assert sliced_wasserstein(a + shift, b + shift, dirs) == pytest.approx(
+        sliced_wasserstein(a, b, dirs), abs=1e-12
     )
 
 
@@ -65,22 +64,18 @@ def test_slice_count_stability():
     rng = np.random.default_rng(6)
     a = rng.standard_normal((500, 4)) + 2.0
     b = rng.standard_normal((500, 4))
-    v1 = sliced_wasserstein(a, b, SwConfig(n_slices=2000, rng_seed=7))
-    v2 = sliced_wasserstein(a, b, SwConfig(n_slices=4000, rng_seed=7))
+    v1 = sliced_wasserstein(a, b, _dirs(4, 2000, seed=7))
+    v2 = sliced_wasserstein(a, b, _dirs(4, 4000, seed=7))
     assert abs(v1 - v2) / v1 < 0.02
 
 
 def test_shape_validation():
     with pytest.raises(ValueError):
-        sliced_wasserstein(np.zeros((3, 2)), np.zeros((4, 2)))
-    with pytest.raises(ValueError):
-        SwConfig(n_slices=0)
-    with pytest.raises(ValueError):
-        SwConfig(order=3)
+        sliced_wasserstein(np.zeros((3, 2)), np.zeros((4, 2)), _dirs(2, 10))
 
 
 def test_directions_are_unit_norm():
-    dirs = draw_slice_directions(5, 300, np.random.default_rng(8))
+    dirs = _dirs(5, 300, seed=8)
     assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-12)
 
 
