@@ -2,8 +2,10 @@
 
 perfbench/workload.py replaces module attributes such as
 ``cadps.sampler.smoothed_score`` and ``cadps.guidance.conjugate_gradient_solve``
-with timing wrappers.  Renaming or deleting one of them breaks the traced
-benchmark run; this test makes the same break fail here first.
+with timing wrappers, and some wrappers read the call's arguments (the SW
+span reads ``directions=`` as a keyword).  Renaming or deleting one of them,
+or changing how the harness passes them, breaks the traced benchmark run;
+these tests make the same break fail here first.
 """
 
 import importlib.util
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cadps import build_linear_vp_schedule, build_toy_prior, guidance, sampler
+from cadps import build_linear_vp_schedule, build_toy_prior, guidance, harness, sampler
 from cadps.measurement import MeasurementModel
 
 _WORKLOAD = Path(__file__).resolve().parents[1] / "perfbench" / "workload.py"
@@ -51,3 +53,21 @@ def test_tracer_installs_and_restores(monkeypatch):
     cg = tracer.spans[-1]
     assert cg.parent == tracer.spans[1].id
     assert cg.attrs["converged"] and cg.attrs["iterations"] >= 1
+
+
+def test_sliced_wasserstein_span_per_method(monkeypatch):
+    workload = _load_workload(monkeypatch)
+    original = harness.sliced_wasserstein
+    grid = harness.ExperimentGrid(
+        dims=(2,), ms=(1,), sigmas=(0.1,), chains_per_model=5, n_steps=20, n_slices=16
+    )
+    tracer = workload.Tracer()
+    try:
+        workload.install_tracer(tracer)
+        records, _, _, _ = harness.run_model(2, 1, 0.1, grid, 0, 0)
+    finally:
+        tracer.restore()
+    assert harness.sliced_wasserstein is original
+    spans = [s for s in tracer.spans if s.name == "metrics.sliced_wasserstein"]
+    assert len(spans) == len(records) == len(grid.methods)
+    assert [s.attrs["slices"] for s in spans] == [16] * len(grid.methods)

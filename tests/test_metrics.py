@@ -1,6 +1,8 @@
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 
 import cadps
 from cadps import aggregate_ci, draw_slice_directions, sliced_wasserstein
+from cadps.metrics import _SLICE_CHUNK, _T975
 
 
 def _dirs(d, n_slices, seed=0):
@@ -113,6 +116,37 @@ def test_import_leaves_out_scipy_stats():
     assert out.stdout.strip() == str([False] * len(modules))
 
 
+@pytest.mark.parametrize("k", [2, 5, 20, 31, 32, 60])
+def test_aggregate_ci_quantile_matches_stdtrit(k):
+    from scipy.special import stdtrit
+
+    vals = np.random.default_rng(k).normal(size=k)
+    _, half = aggregate_ci(vals)
+    quantile = stdtrit(k - 1, 0.5 + 0.95 / 2.0)
+    assert half == float(quantile * vals.std(ddof=1) / np.sqrt(k))
+    if k - 1 <= len(_T975):
+        assert _T975[k - 2] == quantile
+
+
+def test_aggregate_ci_leaves_out_scipy_special():
+    src = str(Path(cadps.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import sys, cadps\n"
+        "for k in range(2, 32): cadps.aggregate_ci(range(k))\n"
+        "print('scipy.special' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_aggregate_ci_coverage():
     rng = np.random.default_rng(9)
     hits = 0
@@ -122,3 +156,70 @@ def test_aggregate_ci_coverage():
         mean, half = aggregate_ci(vals)
         hits += mean - half <= 5.0 <= mean + half
     assert 0.93 <= hits / reps <= 0.97
+
+
+def _per_slice_reference(a, b, dirs):
+    """SW_2 with one slice at a time, the form the blocked kernel must match."""
+    acc = 0.0
+    for u in dirs:
+        diff = np.sort(a @ u) - np.sort(b @ u)
+        acc += float(np.sum(diff * diff)) / a.shape[0]
+    return np.sqrt(acc / dirs.shape[0])
+
+
+@pytest.mark.parametrize(
+    "n, d, n_slices",
+    [
+        (30, 3, _SLICE_CHUNK - 1),
+        (30, 3, _SLICE_CHUNK),
+        (30, 3, _SLICE_CHUNK + 1),
+        (30, 3, 3 * _SLICE_CHUNK + 5),
+        (1, 4, 2 * _SLICE_CHUNK + 3),
+        (40, 1, 2 * _SLICE_CHUNK + 3),
+    ],
+)
+def test_blocked_kernel_matches_per_slice_loop(n, d, n_slices):
+    rng = np.random.default_rng(n * 1000 + d)
+    a = rng.standard_normal((n, d))
+    b = 0.7 * rng.standard_normal((n, d)) + 1.5
+    dirs = _dirs(d, n_slices, seed=n_slices)
+    got = sliced_wasserstein(a, b, dirs)
+    assert got == pytest.approx(_per_slice_reference(a, b, dirs), rel=1e-12, abs=0.0)
+
+
+def test_full_scale_call_allocates_little():
+    rng = np.random.default_rng(10)
+    a = rng.standard_normal((1000, 8))
+    b = rng.standard_normal((1000, 8))
+    dirs = _dirs(8, 10_000, seed=11)
+    tracemalloc.start()
+    try:
+        sliced_wasserstein(a, b, directions=dirs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+@pytest.mark.parametrize(
+    "directions, shape",
+    [
+        (np.ones(3), "(3,)"),
+        (np.zeros((0, 3)), "(0, 3)"),
+        (np.ones((5, 2)), "(5, 2)"),
+        (np.ones((2, 5, 3)), "(2, 5, 3)"),
+    ],
+)
+def test_directions_validation(directions, shape):
+    a = np.arange(12.0).reshape(4, 3)
+    with pytest.raises(ValueError, match=re.escape(shape)):
+        sliced_wasserstein(a, a + 1.0, directions)
+
+
+@pytest.mark.parametrize("seed, d, n_slices", [(0, 1, 7), (1, 8, 1000), (2, 80, 300), (3, 800, 50)])
+def test_directions_are_normalized_gaussian_draws(seed, d, n_slices):
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((n_slices, d))
+    expected = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    got = draw_slice_directions(d, n_slices, np.random.default_rng(seed))
+    assert np.array_equal(got, expected)
