@@ -41,8 +41,11 @@ CG_TOL = 1e-4
 # the guidance rules; the harness seeds each method's chains from its index
 METHOD_TAGS = ("cadps", "dps", "pigdm")
 
-# ceiling on the covariance diagonal: (1 - ab)/ab blows past 1e200 in the
-# pure-noise regime of short, heavily capped schedules, overflowing the
+# ceiling on the covariance diagonal and on the eigenvalues of the CA-DPS
+# Gram.  No sampler path reaches it: chains start at the first step with
+# alpha_bar >= 1e-12 (sampler._GUIDANCE_AB_MIN), so there (1 - ab)/ab <= 1e12.
+# It guards direct callers only, where (1 - ab)/ab can pass 1e200 (the tests
+# call cadps_covariance_diag at alpha_bar = 1e-250) and overflow the
 # likelihood Gram.  Guidance is O(sqrt(ab)) there, so capping changes nothing
 # observable.
 SIGMA_DIAG_CEIL = 1e100
@@ -185,14 +188,30 @@ def _solve_likelihood(meas: MeasurementModel, gram: np.ndarray, rhs: np.ndarray)
 
 
 def _clip_psd(g: np.ndarray) -> np.ndarray:
-    """Symmetrize and clip eigenvalues of small (..., m, m) Gram blocks.
+    """Symmetrize small (..., m, m) Gram blocks and clip their eigenvalues.
 
     The exact covariance Gram matrix A Sigma A^T is PSD; finite-difference
-    noise can push estimated eigenvalues slightly negative (or, deep in
-    the noise regime, wildly large), which would break the SPD contract
-    of the likelihood solve.
+    noise can push estimated eigenvalues slightly negative (or, for a
+    direct caller deep in the noise regime, wildly large), which would
+    break the SPD contract of the likelihood solve.
+
+    The clip to [0, SIGMA_DIAG_CEIL] is the identity on a positive-definite
+    block whose trace is at most the ceiling, since its eigenvalues are
+    positive and sum to the trace.  So a batch whose blocks are all finite,
+    pass the trace test and pass one batched Cholesky factorization comes
+    back symmetrized but otherwise unchanged.  Any other batch (indefinite,
+    singular, huge or non-finite blocks) is eigendecomposed and clipped
+    block by block.  The finiteness test is needed because the Cholesky
+    factorization lets a NaN off the diagonal through.
     """
     g = 0.5 * (g + np.swapaxes(g, -1, -2))
+    trace = np.trace(g, axis1=-2, axis2=-1)
+    if np.all(np.isfinite(g)) and np.all(trace <= SIGMA_DIAG_CEIL):
+        try:
+            np.linalg.cholesky(g)
+            return g
+        except np.linalg.LinAlgError:
+            pass
     evals, evecs = np.linalg.eigh(g)
     evals = np.clip(evals, 0.0, SIGMA_DIAG_CEIL)
     return (evecs * evals[..., None, :]) @ np.swapaxes(evecs, -1, -2)

@@ -3,7 +3,8 @@
 Each test prints one PASS/FAIL line on the live terminal (bypassing
 pytest capture) so the verdict per criterion is visible in a plain
 ``pytest -v`` run.  Criteria 5, 6 and 8 rerun the experiment harness and
-dominate the runtime (roughly 15-20 minutes total on one workstation).
+dominate the runtime (about 2 to 2.5 minutes in all on 2 cores, most of it
+criterion 6).
 """
 
 import time

@@ -13,8 +13,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from cadps import build_linear_vp_schedule, build_toy_prior, guidance, harness, sampler
+from cadps.guidance import GuidanceState
 from cadps.measurement import MeasurementModel
 
 _WORKLOAD = Path(__file__).resolve().parents[1] / "perfbench" / "workload.py"
@@ -29,27 +31,42 @@ def _load_workload(monkeypatch):
     return module
 
 
-def test_tracer_installs_and_restores(monkeypatch):
+@pytest.mark.parametrize("tag", ["pigdm", "cadps"])
+def test_tracer_installs_and_restores(monkeypatch, tag):
     workload = _load_workload(monkeypatch)
     originals = (sampler.smoothed_score, guidance.conjugate_gradient_solve)
     tracer = workload.Tracer()
     try:
         workload.install_tracer(tracer)
         assert sampler.smoothed_score is not originals[0]
-        # one PiGDM step through the wrapped names records its CG solve
+        # one guided step through the wrapped names records its CG solve
         prior = build_toy_prior(2)
         sched = build_linear_vp_schedule(20, 0.1, 500.0)
         meas = MeasurementModel(
             a=np.array([[0.6, 0.2]]), y=np.array([0.3]), sigma=0.5, x_star=np.zeros(2)
         )
         x = np.array([[1.0, -2.0], [0.5, 3.0]])
-        score = sampler.smoothed_score(prior, x, sched.alpha_bar_t(1))
-        sampler.guidance_gradient_pigdm(x, score, sched, 1, meas, lambda v: v)
+        ab = sched.alpha_bar_t(1)
+        score = sampler.smoothed_score(prior, x, ab)
+        if tag == "pigdm":
+            sampler.guidance_gradient_pigdm(x, score, sched, 1, meas, lambda v: v)
+        else:
+            sampler.guidance_gradient_cadps(
+                x,
+                score,
+                sched,
+                1,
+                meas,
+                GuidanceState(),
+                score_fn=lambda xx: sampler.smoothed_score(prior, xx, ab),
+            )
     finally:
         tracer.restore()
     assert (sampler.smoothed_score, guidance.conjugate_gradient_solve) == originals
     names = [s.name for s in tracer.spans]
-    assert names == ["gmm.smoothed_score", "guidance.pigdm", "linalg.cg"]
+    # CA-DPS also scores the 2m = 2 perturbed states of its HVP
+    hvp = ["gmm.smoothed_score"] * 2 if tag == "cadps" else []
+    assert names == ["gmm.smoothed_score", f"guidance.{tag}", *hvp, "linalg.cg"]
     cg = tracer.spans[-1]
     assert cg.parent == tracer.spans[1].id
     assert cg.attrs["converged"] and cg.attrs["iterations"] >= 1

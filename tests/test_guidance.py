@@ -139,6 +139,65 @@ def test_clip_psd_caps_huge_eigenvalue_at_ceiling():
     assert np.array_equal(out, want)
 
 
+def _eigh_clip(block):
+    """The eigendecomposition clip of _clip_psd, one (m, m) block at a time."""
+    evals, evecs = np.linalg.eigh(0.5 * (block + block.T))
+    return (evecs * np.clip(evals, 0.0, SIGMA_DIAG_CEIL)) @ evecs.T
+
+
+def _spy_eigh(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    return calls
+
+
+def test_clip_psd_returns_positive_definite_batch_unchanged(monkeypatch):
+    # slightly asymmetric, as a finite-difference Gram is
+    rng = np.random.default_rng(12)
+    b = rng.standard_normal((50, 4, 6))
+    g = b @ np.swapaxes(b, -1, -2) + 1e-9 * rng.standard_normal((50, 4, 4))
+    calls = _spy_eigh(monkeypatch)
+    out = _clip_psd(g)
+    assert calls == []
+    assert np.array_equal(out, 0.5 * (g + np.swapaxes(g, -1, -2)))
+
+
+def test_clip_psd_one_indefinite_block_clips_the_batch_by_eigh(monkeypatch):
+    rng = np.random.default_rng(13)
+    b = rng.standard_normal((50, 4, 6))
+    g = b @ np.swapaxes(b, -1, -2)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    g[7] = (q * np.array([-0.5, 0.2, 1.0, 2.0])) @ q.T
+    want = np.stack([_eigh_clip(block) for block in g])
+    calls = _spy_eigh(monkeypatch)
+    out = _clip_psd(g)
+    assert calls == [g.shape]
+    assert np.array_equal(out, want)
+    assert np.linalg.eigvalsh(out[7]).min() >= -1e-12
+
+
+def test_clip_psd_rank_one_block_takes_the_fallback(monkeypatch):
+    # v v^T is PSD but singular: its second Cholesky pivot is exactly 0
+    v = np.array([1.0, 2.0])
+    g = np.stack([np.outer(v, v), 2.0 * np.eye(2)])
+    calls = _spy_eigh(monkeypatch)
+    out = _clip_psd(g)
+    assert calls == [g.shape]
+    assert np.linalg.eigvalsh(out[0]).min() >= -1e-12
+    assert np.allclose(out, g, rtol=0.0, atol=1e-12)
+
+
+def test_clip_psd_nan_off_the_diagonal_takes_the_fallback(monkeypatch):
+    # the Cholesky factorization alone would let this block through
+    g = np.stack([np.array([[2.0, np.nan], [np.nan, 3.0]]), np.eye(2)])
+    calls = _spy_eigh(monkeypatch)
+    out = _clip_psd(g)
+    assert calls == [g.shape]
+    assert np.all(np.isnan(out[0]))
+    assert np.array_equal(out[1], np.eye(2))
+
+
 def test_all_gradients_vanish_for_zero_operator():
     prior = build_toy_prior(2)
     sched = _schedule()
