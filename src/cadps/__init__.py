@@ -34,7 +34,6 @@ from .guidance import (
     GuidanceState,
     cadps_covariance_diag,
     fd_score_hessian,
-    fd_score_hvp,
     finite_difference_hessian_diag,
     guidance_gradient_cadps,
     guidance_gradient_dps,

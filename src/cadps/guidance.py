@@ -5,6 +5,8 @@ independent chains; per-chain quantities broadcast along the leading
 axis.  PiGDM, both CA-DPS curvature modes and the final conditional draw
 solve the same likelihood system (sigma^2 I + G) lam = y - A x0_hat,
 differing only in the m x m Gram G = A C A^T of their covariance C.  The
+fd-directional mode takes its curvature from forward differences of the
+score against the step's own score, at m extra score evaluations.  The
 running score of GuidanceState is used by the fd-diag mode only, to
 estimate the Hessian diagonal by differencing consecutive score
 evaluations.
@@ -27,7 +29,6 @@ __all__ = [
     "GuidanceState",
     "tweedie_mean",
     "finite_difference_hessian_diag",
-    "fd_score_hvp",
     "fd_score_hessian",
     "cadps_covariance_diag",
     "guidance_gradient_cadps",
@@ -57,10 +58,11 @@ class GuidanceMethod:
 
     zeta is the DPS guidance strength.  curvature selects how the
     covariance-aware method estimates score curvature: "fd-directional"
-    (default) takes central-difference Hessian-vector products along the
-    measurement directions, which captures the cross-coordinate structure
-    of the covariance; "fd-diag" is the cheap diagonal estimate from
-    consecutive trajectory scores (one score evaluation per step).
+    (default) takes forward-difference Hessian-vector products along the
+    measurement directions (one score evaluation each), which captures the
+    cross-coordinate structure of the covariance; "fd-diag" is the cheap
+    diagonal estimate from consecutive trajectory scores (one score
+    evaluation per step).
     """
 
     tag: str  # one of METHOD_TAGS
@@ -119,25 +121,25 @@ def finite_difference_hessian_diag(
     return np.where(safe, ds / np.where(safe, dx, 1.0), 0.0)
 
 
-def fd_score_hvp(
+def _forward_score_hvp(
     score_fn: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
+    score: np.ndarray,
     v: np.ndarray,
     eps: float,
 ) -> np.ndarray:
-    """Hessian-vector product H(x) v by central differencing of the score.
+    """Hessian-vector product H(x) v by forward differencing of the score.
 
-    x is (d,) or batched (n, d); the direction v of shape (d,) is shared
-    by every row.  The difference is taken along the unit direction of v,
-    so eps controls the absolute step size.  v = 0 returns zeros.
+    score is score_fn(x), already held by the caller, so this costs one
+    score evaluation.  x is (d,) or batched (n, d); the direction v of
+    shape (d,) is shared by every row.  The difference is taken along the
+    unit direction of v, so eps is the absolute step size.  v = 0 returns
+    zeros without evaluating the score.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     norm = np.linalg.norm(v[None], axis=-1)[0]
     if norm == 0.0:
         return np.zeros(np.shape(x))
-    unit = v / norm
-    return norm * ((score_fn(x + eps * unit) - score_fn(x - eps * unit)) / (2.0 * eps))
+    return (norm / eps) * (score_fn(x + (eps / norm) * v) - score)
 
 
 def fd_score_hessian(
@@ -235,13 +237,14 @@ def guidance_gradient_cadps(
 
     With curvature "fd-directional", which needs a score_fn to evaluate
     perturbed states, Sigma_t enters only through the m rows Sigma_t a_i,
-    computed from central-difference Hessian-vector products of the score;
-    they give both the Gram A Sigma_t A^T and Sigma_t A^T lam = lam @ rows,
-    so the full cross-coordinate covariance structure is retained at a
-    cost of 2m extra score evaluations per step, and the state is returned
-    unchanged.  With "fd-diag" the diagonal trajectory-difference estimate
-    is used, no extra score evaluations are made, and the returned state
-    carries this step's score, position and covariance diagonal.
+    computed from forward-difference Hessian-vector products of the score
+    against the step's own score; they give both the Gram A Sigma_t A^T and
+    Sigma_t A^T lam = lam @ rows, so the full cross-coordinate covariance
+    structure is retained at a cost of m extra score evaluations per step
+    (none for a zero row of A), and the state is returned unchanged.  With
+    "fd-diag" the diagonal trajectory-difference estimate is used, no
+    extra score evaluations are made, and the returned state carries this
+    step's score, position and covariance diagonal.
     """
     if method is None:
         method = GuidanceMethod(tag="cadps")
@@ -260,7 +263,7 @@ def guidance_gradient_cadps(
         # filled in place: stacking a list would hold every row twice
         rows = np.empty(np.shape(x_t)[:-1] + meas.a.shape)  # (..., m, d)
         for i in range(meas.m):
-            hv = fd_score_hvp(score_fn, x_t, meas.a[i], eps)
+            hv = _forward_score_hvp(score_fn, x_t, score, meas.a[i], eps)
             rows[..., i, :] = cov_fac * (meas.a[i] + (1.0 - ab) * hv)
         lam, report = _solve_likelihood(meas, _clip_psd(rows @ meas.a.T), rhs)
         return jac * np.einsum("...i,...id->...d", lam, rows), state, report

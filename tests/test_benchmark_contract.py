@@ -64,8 +64,8 @@ def test_tracer_installs_and_restores(monkeypatch, tag):
         tracer.restore()
     assert (sampler.smoothed_score, guidance.conjugate_gradient_solve) == originals
     names = [s.name for s in tracer.spans]
-    # CA-DPS also scores the 2m = 2 perturbed states of its HVP
-    hvp = ["gmm.smoothed_score"] * 2 if tag == "cadps" else []
+    # CA-DPS also scores the m = 1 perturbed state of its forward HVP
+    hvp = ["gmm.smoothed_score"] if tag == "cadps" else []
     assert names == ["gmm.smoothed_score", f"guidance.{tag}", *hvp, "linalg.cg"]
     cg = tracer.spans[-1]
     assert cg.parent == tracer.spans[1].id

@@ -150,8 +150,17 @@ def _harness_schedule():
     return build_linear_vp_schedule(200, 0.1, 500.0)
 
 
-@pytest.mark.parametrize("tag", ["cadps", "dps", "pigdm"])
-def test_score_never_evaluated_below_alpha_bar_floor(tag, monkeypatch):
+# m = 1 separates CA-DPS's 1 + m from 1 + 2m least; m = 4 is the full-scale
+# cell's m
+@pytest.mark.parametrize(
+    "tag, m",
+    [
+        pytest.param(tag, m, id=tag if m == 2 else f"{tag}-m{m}")
+        for tag in ("cadps", "dps", "pigdm")
+        for m in (2, 1, 4)
+    ],
+)
+def test_score_never_evaluated_below_alpha_bar_floor(tag, m, monkeypatch):
     sched = _harness_schedule()
     seen = []
     original = sampler.smoothed_score
@@ -162,7 +171,6 @@ def test_score_never_evaluated_below_alpha_bar_floor(tag, monkeypatch):
 
     monkeypatch.setattr(sampler, "smoothed_score", counting)
     rng = np.random.default_rng(14)
-    m = 2
     meas = MeasurementModel(
         a=rng.standard_normal((m, 4)), y=rng.standard_normal(m), sigma=0.1, x_star=np.zeros(4)
     )
@@ -170,8 +178,8 @@ def test_score_never_evaluated_below_alpha_bar_floor(tag, monkeypatch):
     _, diags = run_guided_chains(build_toy_prior(4), meas, cfg)
     assert diags.n_aborted == 0
     assert min(seen) >= _GUIDANCE_AB_MIN
-    # CA-DPS adds two score evaluations per measurement direction
-    per_step = 1 + 2 * m if tag == "cadps" else 1
+    # CA-DPS adds one score evaluation per measurement direction
+    per_step = 1 + m if tag == "cadps" else 1
     assert len(seen) == 55 * per_step
 
 
