@@ -31,10 +31,7 @@ from .measurement import (
 )
 from .guidance import (
     GuidanceMethod,
-    GuidanceState,
-    cadps_covariance_diag,
     fd_score_hessian,
-    finite_difference_hessian_diag,
     guidance_gradient_cadps,
     guidance_gradient_dps,
     guidance_gradient_pigdm,

@@ -2,20 +2,17 @@
 
 Each function accepts a single state vector (d,) or a batch (n, d) of
 independent chains; per-chain quantities broadcast along the leading
-axis.  PiGDM, both CA-DPS curvature modes and the final conditional draw
-solve the same likelihood system (sigma^2 I + G) lam = y - A x0_hat,
-differing only in the m x m Gram G = A C A^T of their covariance C.  The
-fd-directional mode takes its curvature from forward differences of the
-score against the step's own score, at m extra score evaluations.  The
-running score of GuidanceState is used by the fd-diag mode only, to
-estimate the Hessian diagonal by differencing consecutive score
-evaluations.
+axis.  PiGDM, CA-DPS and the final conditional draw solve the same
+likelihood system (sigma^2 I + G) lam = y - A x0_hat, differing only in
+the m x m Gram G = A C A^T of their covariance C.  CA-DPS takes its
+covariance from forward differences of the score along the measurement
+directions against the step's own score, at m extra score evaluations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -26,11 +23,8 @@ from .schedule import NoiseSchedule, snr_sigma_sq
 __all__ = [
     "METHOD_TAGS",
     "GuidanceMethod",
-    "GuidanceState",
     "tweedie_mean",
-    "finite_difference_hessian_diag",
     "fd_score_hessian",
-    "cadps_covariance_diag",
     "guidance_gradient_cadps",
     "guidance_gradient_dps",
     "guidance_gradient_pigdm",
@@ -42,50 +36,27 @@ CG_TOL = 1e-4
 # the guidance rules; the harness seeds each method's chains from its index
 METHOD_TAGS = ("cadps", "dps", "pigdm")
 
-# ceiling on the covariance diagonal and on the eigenvalues of the CA-DPS
-# Gram.  No sampler path reaches it: chains start at the first step with
+# ceiling on the eigenvalues of the CA-DPS Gram in the _clip_psd fallback.
+# No sampler path reaches it: chains start at the first step with
 # alpha_bar >= 1e-12 (sampler._GUIDANCE_AB_MIN), so there (1 - ab)/ab <= 1e12.
-# It guards direct callers only, where (1 - ab)/ab can pass 1e200 (the tests
-# call cadps_covariance_diag at alpha_bar = 1e-250) and overflow the
-# likelihood Gram.  Guidance is O(sqrt(ab)) there, so capping changes nothing
-# observable.
+# It guards direct callers only, whose (1 - ab)/ab factor or Hessian can
+# pass 1e200 and overflow the likelihood solve.  Guidance is O(sqrt(ab))
+# there, so capping changes nothing observable.
 SIGMA_DIAG_CEIL = 1e100
 
 
 @dataclass(frozen=True)
 class GuidanceMethod:
-    """Method selector plus hyperparameters.
-
-    zeta is the DPS guidance strength.  curvature selects how the
-    covariance-aware method estimates score curvature: "fd-directional"
-    (default) takes forward-difference Hessian-vector products along the
-    measurement directions (one score evaluation each), which captures the
-    cross-coordinate structure of the covariance; "fd-diag" is the cheap
-    diagonal estimate from consecutive trajectory scores (one score
-    evaluation per step).
-    """
+    """Method selector plus hyperparameters; zeta is the DPS guidance strength."""
 
     tag: str  # one of METHOD_TAGS
     zeta: float = 1.0
-    curvature: str = "fd-directional"
 
     def __post_init__(self):
         if self.tag not in METHOD_TAGS:
             raise ValueError(f"unknown guidance tag {self.tag!r}")
         if self.tag == "dps" and self.zeta <= 0:
             raise ValueError("zeta must be positive for DPS")
-        if self.curvature not in ("fd-directional", "fd-diag"):
-            raise ValueError(f"unknown curvature {self.curvature!r}")
-
-
-@dataclass
-class GuidanceState:
-    """Per-chain running quantities for the fd-diag Hessian estimate."""
-
-    prev_score: Optional[np.ndarray] = None
-    prev_step: Optional[int] = None
-    sigma_tilde_diag: Optional[np.ndarray] = None
-    prev_x: Optional[np.ndarray] = None
 
 
 def tweedie_mean(x_t: np.ndarray, score: np.ndarray, alpha_bar_t: float) -> np.ndarray:
@@ -93,32 +64,6 @@ def tweedie_mean(x_t: np.ndarray, score: np.ndarray, alpha_bar_t: float) -> np.n
     if not 0.0 < alpha_bar_t <= 1.0:
         raise ValueError(f"alpha_bar must be in (0, 1], got {alpha_bar_t}")
     return (x_t + (1.0 - alpha_bar_t) * score) / np.sqrt(alpha_bar_t)
-
-
-def finite_difference_hessian_diag(
-    state: GuidanceState,
-    current_score: np.ndarray,
-    current_step: int,
-    current_x: np.ndarray,
-) -> np.ndarray:
-    """Diagonal Hessian estimate from consecutive score evaluations.
-
-    The previous score and chain state come from the immediately
-    preceding (noisier) sampler iteration; the first iteration has no
-    history and returns zeros.  The score difference is divided
-    elementwise by the state difference, which is the quantity with the
-    units of a second derivative; coordinates that did not move give 0.
-    """
-    if state.prev_score is None:
-        return np.zeros_like(current_score)
-    if state.prev_step != current_step + 1:
-        raise ValueError(
-            f"non-adjacent steps: previous {state.prev_step}, current {current_step}"
-        )
-    ds = state.prev_score - current_score
-    dx = state.prev_x - current_x
-    safe = np.abs(dx) >= 1e-12
-    return np.where(safe, ds / np.where(safe, dx, 1.0), 0.0)
 
 
 def _forward_score_hvp(
@@ -160,19 +105,6 @@ def fd_score_hessian(
         e[i] = eps
         h[:, i] = (score_fn(x + e) - score_fn(x - e)) / (2.0 * eps)
     return 0.5 * (h + h.T)
-
-
-def cadps_covariance_diag(h_diag: np.ndarray, alpha_bar_t: float) -> np.ndarray:
-    """Sigma_t diagonal = ((1-ab)/ab)(1 + (1-ab) h), clamped to [0, SIGMA_DIAG_CEIL]."""
-    if not 0.0 < alpha_bar_t < 1.0:
-        raise ValueError(f"alpha_bar must be in (0, 1), got {alpha_bar_t}")
-    raw = ((1.0 - alpha_bar_t) / alpha_bar_t) * (1.0 + (1.0 - alpha_bar_t) * h_diag)
-    return np.clip(raw, 0.0, SIGMA_DIAG_CEIL)
-
-
-def _diag_gram(meas: MeasurementModel, s_diag: np.ndarray) -> np.ndarray:
-    """A diag(s) A^T for s of shape (d,) or (n, d): (m, m) or (n, m, m)."""
-    return (s_diag[..., None, :] * meas.a) @ meas.a.T
 
 
 def _solve_likelihood(meas: MeasurementModel, gram: np.ndarray, rhs: np.ndarray):
@@ -225,82 +157,55 @@ def guidance_gradient_cadps(
     schedule: NoiseSchedule,
     t: int,
     meas: MeasurementModel,
-    state: GuidanceState,
-    method: GuidanceMethod | None = None,
-    score_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    score_fn: Callable[[np.ndarray], np.ndarray],
 ):
-    """Covariance-aware likelihood gradient.
+    """Covariance-aware likelihood gradient; returns (gradient, cg_report).
 
-    Returns (gradient, state, cg_report).  The gradient is the single
-    quantity (sqrt(ab)/(1-ab)) Sigma_t A^T lam, which bakes in the Jacobian
-    identity d(x0_hat)/d(x_t) = (sqrt(ab)/(1-ab)) Sigma_t.
-
-    With curvature "fd-directional", which needs a score_fn to evaluate
-    perturbed states, Sigma_t enters only through the m rows Sigma_t a_i,
-    computed from forward-difference Hessian-vector products of the score
-    against the step's own score; they give both the Gram A Sigma_t A^T and
-    Sigma_t A^T lam = lam @ rows, so the full cross-coordinate covariance
-    structure is retained at a cost of m extra score evaluations per step
-    (none for a zero row of A), and the state is returned unchanged.  With
-    "fd-diag" the diagonal trajectory-difference estimate is used, no
-    extra score evaluations are made, and the returned state carries this
-    step's score, position and covariance diagonal.
+    The gradient is the single quantity (sqrt(ab)/(1-ab)) Sigma_t A^T lam,
+    which bakes in the Jacobian identity d(x0_hat)/d(x_t) =
+    (sqrt(ab)/(1-ab)) Sigma_t.  Sigma_t enters only through the m rows
+    Sigma_t a_i, computed from forward-difference Hessian-vector products of
+    score_fn against the step's own score; they give both the Gram
+    A Sigma_t A^T and Sigma_t A^T lam = lam @ rows, so the full
+    cross-coordinate covariance structure is retained at a cost of m extra
+    score evaluations per step (none for a zero row of A).
     """
-    if method is None:
-        method = GuidanceMethod(tag="cadps")
     ab = schedule.alpha_bar_t(t)
     rhs = residual(meas, tweedie_mean(x_t, score, ab))
+    # the mixture smoothing length is at least sqrt(1 - ab), so the FD step
+    # tracks it
+    eps = max(1e-3 * np.sqrt(1.0 - ab), 1e-8)
+    cov_fac = (1.0 - ab) / ab
+
+    # filled in place: stacking a list would hold every row twice
+    rows = np.empty(np.shape(x_t)[:-1] + meas.a.shape)  # (..., m, d)
+    for i in range(meas.m):
+        hv = _forward_score_hvp(score_fn, x_t, score, meas.a[i], eps)
+        rows[..., i, :] = cov_fac * (meas.a[i] + (1.0 - ab) * hv)
+    lam, report = _solve_likelihood(meas, _clip_psd(rows @ meas.a.T), rhs)
     jac = np.sqrt(ab) / (1.0 - ab)
-
-    if method.curvature == "fd-directional":
-        if score_fn is None:
-            raise ValueError('curvature "fd-directional" needs a score_fn')
-        # the mixture smoothing length is at least sqrt(1 - ab), so the
-        # FD step tracks it
-        eps = max(1e-3 * np.sqrt(1.0 - ab), 1e-8)
-        cov_fac = (1.0 - ab) / ab
-
-        # filled in place: stacking a list would hold every row twice
-        rows = np.empty(np.shape(x_t)[:-1] + meas.a.shape)  # (..., m, d)
-        for i in range(meas.m):
-            hv = _forward_score_hvp(score_fn, x_t, score, meas.a[i], eps)
-            rows[..., i, :] = cov_fac * (meas.a[i] + (1.0 - ab) * hv)
-        lam, report = _solve_likelihood(meas, _clip_psd(rows @ meas.a.T), rhs)
-        return jac * np.einsum("...i,...id->...d", lam, rows), state, report
-
-    h = finite_difference_hessian_diag(state, score, t, x_t)
-    s_diag = cadps_covariance_diag(h, ab)
-    lam, report = _solve_likelihood(meas, _diag_gram(meas, s_diag), rhs)
-    new_state = GuidanceState(
-        prev_score=np.array(score, copy=True),
-        prev_step=t,
-        sigma_tilde_diag=s_diag,
-        prev_x=np.array(x_t, copy=True),
-    )
-    return jac * s_diag * (lam @ meas.a), new_state, report
+    return jac * np.einsum("...i,...id->...d", lam, rows), report
 
 
 def sample_final_conditional(
     x0: np.ndarray,
-    s_diag: np.ndarray,
+    var: float,
     meas: MeasurementModel,
     noise_u: np.ndarray,
     noise_w: np.ndarray,
 ):
-    """Draw from N(x0, diag(s)) conditioned on y = A x + sigma eps.
+    """Draw from N(x0, var I) conditioned on y = A x + sigma eps.
 
-    Matheron update: with u ~ N(0, diag(s)) and w ~ N(0, sigma^2 I),
-        x = (x0 + u) + diag(s) A^T (sigma^2 I + A diag(s) A^T)^{-1}
-            (y - A (x0 + u) - w)
+    Matheron update: with u ~ N(0, var I) and w ~ N(0, sigma^2 I),
+        x = (x0 + u) + var A^T (sigma^2 I + var A A^T)^{-1} (y - A (x0 + u) - w)
     has exactly the conditional mean and covariance.  The callers supply
     noise_u and noise_w as standard normals so the RNG stream stays under
-    the sampler's control.  s_diag is (d,), shared by every chain, or
-    (n, d).  Returns (sample, cg_report).
+    the sampler's control.  Returns (sample, cg_report).
     """
-    xu = x0 + np.sqrt(s_diag) * noise_u
+    xu = x0 + np.sqrt(var) * noise_u
     rhs = residual(meas, xu) - meas.sigma * noise_w
-    lam, report = _solve_likelihood(meas, _diag_gram(meas, s_diag), rhs)
-    return xu + s_diag * (lam @ meas.a), report
+    lam, report = _solve_likelihood(meas, (var * meas.a) @ meas.a.T, rhs)
+    return xu + var * (lam @ meas.a), report
 
 
 def guidance_gradient_dps(

@@ -304,7 +304,8 @@ def load_grid_from_json(path=None) -> tuple[ExperimentGrid, int, str]:
 
     The keys are master_seed, out_dir and ExperimentGrid field names;
     an unknown key raises ValueError.  Methods are tags or GuidanceMethod
-    keyword dicts.  Absent keys, or no path at all, keep the defaults.
+    keyword dicts, whose unknown keys raise ValueError too.  Absent keys,
+    or no path at all, keep the defaults.
     """
     cfg = {}
     if path is not None:
@@ -319,7 +320,15 @@ def load_grid_from_json(path=None) -> tuple[ExperimentGrid, int, str]:
         if key in cfg:
             cfg[key] = tuple(cfg[key])
     if "methods" in cfg:
-        cfg["methods"] = tuple(
-            GuidanceMethod(**({"tag": e} if isinstance(e, str) else e)) for e in cfg["methods"]
-        )
+        cfg["methods"] = tuple(_method_from_config(e) for e in cfg["methods"])
     return ExperimentGrid(**cfg), master_seed, out_dir
+
+
+def _method_from_config(entry) -> GuidanceMethod:
+    """A GuidanceMethod from a tag or a keyword dict; unknown keys raise ValueError."""
+    if isinstance(entry, str):
+        return GuidanceMethod(tag=entry)
+    unknown = sorted(set(entry) - {f.name for f in fields(GuidanceMethod)})
+    if unknown:
+        raise ValueError(f"unknown method keys: {', '.join(unknown)}")
+    return GuidanceMethod(**entry)

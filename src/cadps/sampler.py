@@ -6,7 +6,8 @@ exactly.  Every chain starts from N(0, I) at the first guided step t0,
 the last step with alpha_bar >= _GUIDANCE_AB_MIN: the steps above t0
 map N(0, I) to itself up to O(sqrt(alpha_bar)) <= 1e-6 and are not run.
 The score is evaluated once per step and reused for the Tweedie mean,
-the finite-difference Hessian, and the guidance term.
+the guidance term, and as the base point of CA-DPS's forward-difference
+Hessian-vector products.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 from .gmm import GaussianMixture, make_tweedie_jacobian_vp, smoothed_score
 from .guidance import (
     GuidanceMethod,
-    GuidanceState,
     guidance_gradient_cadps,
     guidance_gradient_dps,
     guidance_gradient_pigdm,
@@ -109,14 +109,11 @@ def run_guided_chains(
     The guidance correction is applied additively in the direction that
     increases measurement consistency.  Chains whose state goes
     non-finite are frozen at NaN and flagged in the diagnostics.  Chains
-    start at the first guided step t0, so every step runs guidance and
-    the fd-diag curvature estimate has no history at t0 (h = 0).
+    start at the first guided step t0, and DPS guides every step from there.
 
-    PiGDM and CA-DPS draw their final x0 from N(x0_hat, Sigma_1)
-    conditioned on the observation.  CA-DPS takes Sigma_1 from its diagonal
-    estimate only in "fd-diag" mode; the default "fd-directional" mode keeps
-    no explicit covariance (sigma_tilde_diag is None), so its final draw
-    uses the isotropic (1 - ab_1) I fallback, as PiGDM does.
+    For a nonzero A, PiGDM and CA-DPS guide down to t = 2 and then draw
+    their final x0 from N(x0_hat, (1 - ab_1) I) conditioned on the
+    observation, so they compute no guidance gradient at t = 1.
     """
     if prior.dim != meas.d:
         raise ValueError("prior dimension does not match measurement matrix")
@@ -125,7 +122,6 @@ def run_guided_chains(
     rng = np.random.default_rng(config.rng_seed)
     n = config.n_chains
     x, t0 = _start_chains(schedule, n, prior.dim, rng)
-    state = GuidanceState()
     aborted = np.zeros(n, dtype=bool)
     cg_failures = 0
 
@@ -136,51 +132,40 @@ def run_guided_chains(
         aborted |= bad
         x_safe = np.where(aborted[:, None], 0.0, x)
         score = smoothed_score(prior, x_safe, ab)
+        # also taken where the final draw below discards it, so that its z
+        # keeps the RNG stream the same for every method
         x_next = reverse_step_unconditional(x_safe, score, schedule, t, rng)
 
-        report = None
-        if method.tag == "cadps":
-            grad, state, report = guidance_gradient_cadps(
-                x_safe,
-                score,
-                schedule,
-                t,
-                meas,
-                state,
-                method,
-                score_fn=lambda xx, _ab=ab: smoothed_score(prior, xx, _ab),
-            )
-        elif method.tag == "dps":
-            jvp = make_tweedie_jacobian_vp(prior, ab, x_safe)
-            grad = guidance_gradient_dps(
-                x_safe, score, schedule, t, meas, jvp, zeta=method.zeta
-            )
-        elif method.tag == "pigdm":
-            jvp = make_tweedie_jacobian_vp(prior, ab, x_safe)
-            grad, report = guidance_gradient_pigdm(x_safe, score, schedule, t, meas, jvp)
-        else:  # pragma: no cover - rejected at construction
-            raise ValueError(method.tag)
-        if report is not None and not report.converged:
-            cg_failures += 1
-
-        if t == 1 and method.tag in ("cadps", "pigdm") and np.any(meas.a):
+        if t == 1 and method.tag != "dps" and np.any(meas.a):
             # final step: the deterministic Tweedie output collapses the
             # posterior spread whenever 1 - alpha_bar_1 exceeds the target
             # variance, so draw x0 from the method's Gaussian model
-            # N(x0_hat, Sigma_1) conditioned on the observation instead
+            # N(x0_hat, (1 - ab_1) I) conditioned on the observation instead
             x0_hat = tweedie_mean(x_safe, score, ab)
-            if state.sigma_tilde_diag is not None:
-                s_diag = state.sigma_tilde_diag
-            else:
-                s_diag = np.full(prior.dim, 1.0 - ab)
             noise_u = rng.standard_normal(x.shape)
             noise_w = rng.standard_normal((n, meas.m))
-            x, final_report = sample_final_conditional(
-                x0_hat, s_diag, meas, noise_u, noise_w
-            )
-            if not final_report.converged:
-                cg_failures += 1
+            x, report = sample_final_conditional(x0_hat, 1.0 - ab, meas, noise_u, noise_w)
         else:
+            report = None
+            if method.tag == "cadps":
+                grad, report = guidance_gradient_cadps(
+                    x_safe,
+                    score,
+                    schedule,
+                    t,
+                    meas,
+                    lambda xx, _ab=ab: smoothed_score(prior, xx, _ab),
+                )
+            elif method.tag == "dps":
+                jvp = make_tweedie_jacobian_vp(prior, ab, x_safe)
+                grad = guidance_gradient_dps(
+                    x_safe, score, schedule, t, meas, jvp, zeta=method.zeta
+                )
+            elif method.tag == "pigdm":
+                jvp = make_tweedie_jacobian_vp(prior, ab, x_safe)
+                grad, report = guidance_gradient_pigdm(x_safe, score, schedule, t, meas, jvp)
+            else:  # pragma: no cover - rejected at construction
+                raise ValueError(method.tag)
             # couple the likelihood score through the same channel the
             # ancestral step applies to the prior score: equivalent to
             # stepping with score + grad, i.e. a
@@ -189,6 +174,8 @@ def run_guided_chains(
             # likelihood scores.
             kappa = schedule.beta_t(t) * np.sqrt(schedule.alpha_bar_prev(t) / ab)
             x = x_next + kappa * grad
+        if report is not None and not report.converged:
+            cg_failures += 1
         bad = ~np.all(np.isfinite(x), axis=1)
         aborted |= bad
         x = np.where(aborted[:, None], np.nan, x)

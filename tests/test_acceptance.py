@@ -17,7 +17,6 @@ from cadps import (
     ChainConfig,
     ExperimentGrid,
     GuidanceMethod,
-    GuidanceState,
     build_linear_vp_schedule,
     build_toy_prior,
     conditional_moments,
@@ -141,7 +140,7 @@ def test_criterion_3_solver_suite(capsys):
         x, report = conjugate_gradient_solve(lambda v: g @ v, rhs, tol=1e-12, max_iter=50 * m)
         if not (report.converged and np.allclose(x, np.linalg.solve(g, rhs), atol=1e-8)):
             cg_ok = False
-    # guidance gradient against a dense direct solve, both curvature modes
+    # CA-DPS guidance gradient against a dense direct solve
     prior = build_toy_prior(4)
     sched = build_linear_vp_schedule(100, 0.1, 500.0)
     t = int(np.argmin(np.abs(sched.alpha_bar - 0.5))) + 1
@@ -151,28 +150,13 @@ def test_criterion_3_solver_suite(capsys):
     a = rng.standard_normal((2, 4))
     meas = MeasurementModel(a=a, y=rng.standard_normal(2), sigma=0.2, x_star=np.zeros(4))
     x0 = tweedie_mean(x, score, ab)
-    g_dir, _, _ = guidance_gradient_cadps(
-        x, score, sched, t, meas, GuidanceState(), score_fn=lambda z: smoothed_score(prior, z, ab)
+    g_dir, _ = guidance_gradient_cadps(
+        x, score, sched, t, meas, lambda z: smoothed_score(prior, z, ab)
     )
     cov = conditional_moments(prior, x, ab).cov
     lam = np.linalg.solve(meas.sigma**2 * np.eye(2) + a @ cov @ a.T, meas.y - a @ x0)
     dense_dir = (np.sqrt(ab) / (1 - ab)) * cov @ (a.T @ lam)
     grad_ok = bool(np.allclose(g_dir, dense_dir, atol=1e-4))
-    prev_x = x + rng.uniform(0.1, 0.5, 4)
-    state = GuidanceState(
-        prev_score=smoothed_score(prior, prev_x, sched.alpha_bar_t(t + 1)),
-        prev_step=t + 1,
-        prev_x=prev_x,
-    )
-    g_diag, new_state, _ = guidance_gradient_cadps(
-        x, score, sched, t, meas, state, GuidanceMethod(tag="cadps", curvature="fd-diag")
-    )
-    s_diag = new_state.sigma_tilde_diag
-    lam = np.linalg.solve(
-        meas.sigma**2 * np.eye(2) + a @ np.diag(s_diag) @ a.T, meas.y - a @ x0
-    )
-    dense_diag = (np.sqrt(ab) / (1 - ab)) * s_diag * (a.T @ lam)
-    grad_ok = grad_ok and bool(np.allclose(g_diag, dense_diag, atol=1e-4))
     _verdict(
         capsys,
         3,

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from cadps import build_linear_vp_schedule, build_toy_prior, guidance, harness, sampler
-from cadps.guidance import GuidanceState
 from cadps.measurement import MeasurementModel
 
 _WORKLOAD = Path(__file__).resolve().parents[1] / "perfbench" / "workload.py"
@@ -52,13 +51,7 @@ def test_tracer_installs_and_restores(monkeypatch, tag):
             sampler.guidance_gradient_pigdm(x, score, sched, 1, meas, lambda v: v)
         else:
             sampler.guidance_gradient_cadps(
-                x,
-                score,
-                sched,
-                1,
-                meas,
-                GuidanceState(),
-                score_fn=lambda xx: sampler.smoothed_score(prior, xx, ab),
+                x, score, sched, 1, meas, lambda xx: sampler.smoothed_score(prior, xx, ab)
             )
     finally:
         tracer.restore()
@@ -88,3 +81,32 @@ def test_sliced_wasserstein_span_per_method(monkeypatch):
     spans = [s for s in tracer.spans if s.name == "metrics.sliced_wasserstein"]
     assert len(spans) == len(records) == len(grid.methods)
     assert [s.attrs["slices"] for s in spans] == [16] * len(grid.methods)
+
+
+def test_final_draw_span_per_chain_run(monkeypatch):
+    # guidance.final wraps sampler.sample_final_conditional: PiGDM and CA-DPS
+    # take their last step from it, once per chain run, and compute no
+    # guidance gradient at t = 1; DPS never calls it
+    workload = _load_workload(monkeypatch)
+    grid = harness.ExperimentGrid(
+        dims=(2,), ms=(1,), sigmas=(0.1,), chains_per_model=5, n_steps=20, n_slices=16
+    )
+    tracer = workload.Tracer()
+    try:
+        workload.install_tracer(tracer)
+        harness.run_model(2, 1, 0.1, grid, 0, 0)
+    finally:
+        tracer.restore()
+    assert sampler.sample_final_conditional is guidance.sample_final_conditional
+    sched = build_linear_vp_schedule(grid.n_steps, grid.beta_min, grid.beta_max)
+    t0 = int(np.flatnonzero(sched.alpha_bar >= sampler._GUIDANCE_AB_MIN)[-1]) + 1
+    runs = [s for s in tracer.spans if s.name == "sampler.run_guided_chains"]
+    assert sorted(r.method for r in runs) == sorted(m.tag for m in grid.methods)
+    for run in runs:
+        # the sampler's own calls, step by step from t0 down to t = 1
+        steps = [s.name for s in tracer.spans if s.parent == run.id]
+        guided = ["gmm.smoothed_score", f"guidance.{run.method}"]
+        if run.method == "dps":
+            assert steps == guided * t0
+        else:
+            assert steps == guided * (t0 - 1) + ["gmm.smoothed_score", "guidance.final"]

@@ -3,12 +3,9 @@ import pytest
 
 from cadps import (
     GuidanceMethod,
-    GuidanceState,
     build_linear_vp_schedule,
     build_toy_prior,
-    cadps_covariance_diag,
     conditional_moments,
-    finite_difference_hessian_diag,
     guidance_gradient_cadps,
     guidance_gradient_dps,
     guidance_gradient_pigdm,
@@ -30,7 +27,6 @@ from cadps.guidance import (
     sample_final_conditional,
 )
 from cadps.measurement import MeasurementModel
-from cadps.sampler import reverse_step_unconditional
 
 
 def _single_gaussian(d=1):
@@ -50,8 +46,6 @@ def test_method_validation():
         GuidanceMethod(tag="nope")
     with pytest.raises(ValueError):
         GuidanceMethod(tag="dps", zeta=0.0)
-    with pytest.raises(ValueError):
-        GuidanceMethod(tag="cadps", curvature="magic")
 
 
 def test_tweedie_examples():
@@ -71,66 +65,6 @@ def test_tweedie_matches_analytic_moments():
         ab = float(rng.uniform(0.05, 0.99))
         s = smoothed_score(prior, x, ab)
         assert np.allclose(tweedie_mean(x, s, ab), conditional_moments(prior, x, ab).mean, atol=1e-8)
-
-
-def test_fd_hessian_diag_first_iteration_zero():
-    h = finite_difference_hessian_diag(
-        GuidanceState(), np.array([1.0, 2.0]), 5, np.array([0.5, -0.5])
-    )
-    assert np.array_equal(h, np.zeros(2))
-
-
-def test_fd_hessian_diag_arithmetic():
-    # (prev_score - score) / (prev_x - x); a coordinate that did not move gives 0
-    state = GuidanceState(
-        prev_score=np.array([-1.0, 3.0]), prev_step=6, prev_x=np.array([0.5, 2.0])
-    )
-    h = finite_difference_hessian_diag(state, np.array([-1.2, 4.0]), 5, np.array([0.4, 2.0]))
-    assert h[0] == pytest.approx(2.0)
-    assert h[1] == 0.0
-
-
-def test_fd_hessian_diag_rejects_non_adjacent():
-    state = GuidanceState(prev_score=np.array([-1.0]), prev_step=9, prev_x=np.array([0.5]))
-    with pytest.raises(ValueError):
-        finite_difference_hessian_diag(state, np.array([-1.2]), 5, np.array([0.4]))
-
-
-def test_fd_hessian_diag_sign_along_trajectory():
-    # d=1 single Gaussian: true d^2 log p_t / dx^2 = -1 at every t
-    prior = _single_gaussian(1)
-    sched = _schedule()
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal(1)
-    state = GuidanceState()
-    signs = []
-    for t in range(sched.n_steps, 0, -1):
-        s = smoothed_score(prior, x, sched.alpha_bar_t(t))
-        h = finite_difference_hessian_diag(state, s, t, x)
-        if state.prev_score is not None:
-            signs.append(h[0] < 0)
-        state = GuidanceState(prev_score=s, prev_step=t, prev_x=x.copy())
-        x = reverse_step_unconditional(x, s, sched, t, rng)
-    tail = signs[10:]
-    assert np.mean(tail) >= 0.9
-
-
-def test_cadps_covariance_diag_cases():
-    assert np.allclose(cadps_covariance_diag(np.zeros(3), 0.2), (1 - 0.2) / 0.2)
-    # Gaussian prior h = -1, ab = 0.5 -> exact covariance 1 - ab
-    assert cadps_covariance_diag(np.array([-1.0]), 0.5)[0] == pytest.approx(0.5)
-    assert cadps_covariance_diag(np.array([-3.0]), 0.5)[0] == 0.0
-    with pytest.raises(ValueError):
-        cadps_covariance_diag(np.zeros(1), 1.0)
-
-
-def test_cadps_covariance_diag_saturates_at_ceiling():
-    # a huge curvature, and the (1 - ab)/ab factor of a pure-noise step,
-    # are both capped at SIGMA_DIAG_CEIL
-    out = cadps_covariance_diag(np.array([0.0, 1e300]), 0.5)
-    assert out[0] == 1.0
-    assert out[1] == SIGMA_DIAG_CEIL
-    assert np.all(cadps_covariance_diag(np.zeros(3), 1e-250) == SIGMA_DIAG_CEIL)
 
 
 def test_clip_psd_clips_negative_eigenvalue_to_zero():
@@ -216,13 +150,7 @@ def test_all_gradients_vanish_for_zero_operator():
     x = np.array([1.0, -0.5])
     s = smoothed_score(prior, x, ab)
     meas = MeasurementModel(a=np.zeros((1, 2)), y=np.zeros(1), sigma=0.1, x_star=np.zeros(2))
-    g, _, _ = guidance_gradient_cadps(
-        x, s, sched, t, meas, GuidanceState(), score_fn=lambda z: smoothed_score(prior, z, ab)
-    )
-    assert np.allclose(g, 0.0)
-    g, _, _ = guidance_gradient_cadps(
-        x, s, sched, t, meas, GuidanceState(), GuidanceMethod(tag="cadps", curvature="fd-diag")
-    )
+    g, _ = guidance_gradient_cadps(x, s, sched, t, meas, lambda z: smoothed_score(prior, z, ab))
     assert np.allclose(g, 0.0)
     jvp = make_tweedie_jacobian_vp(prior, ab, x)
     assert np.allclose(guidance_gradient_dps(x, s, sched, t, meas, jvp), 0.0)
@@ -243,12 +171,13 @@ def test_cadps_directional_requires_score_fn():
         sigma=0.1,
         x_star=np.zeros(4),
     )
-    with pytest.raises(ValueError, match="score_fn"):
-        guidance_gradient_cadps(x, s, sched, t, meas, GuidanceState())
+    with pytest.raises(TypeError, match="score_fn"):
+        guidance_gradient_cadps(x, s, sched, t, meas)
 
 
 def test_cadps_scalar_closed_form():
-    # fd-diag mode, first iteration: h = 0 so s = (1-ab)/ab
+    # unit Gaussian prior: the score is -x, so the forward HVP is exact and
+    # Sigma_t = (1 - ab) I
     prior = _single_gaussian(1)
     sched = _schedule()
     t = _step_near(sched, 0.4)
@@ -256,37 +185,14 @@ def test_cadps_scalar_closed_form():
     x = np.array([0.4])
     score = smoothed_score(prior, x, ab)
     meas = MeasurementModel(a=np.eye(1), y=np.array([0.9]), sigma=0.3, x_star=np.zeros(1))
-    g, state, report = guidance_gradient_cadps(
-        x, score, sched, t, meas, GuidanceState(), GuidanceMethod(tag="cadps", curvature="fd-diag")
+    g, report = guidance_gradient_cadps(
+        x, score, sched, t, meas, lambda z: smoothed_score(prior, z, ab)
     )
-    s = (1 - ab) / ab
+    s = 1 - ab
     x0 = tweedie_mean(x, score, ab)
     expect = (np.sqrt(ab) / (1 - ab)) * s * (meas.y[0] - x0[0]) / (meas.sigma**2 + s)
-    assert g[0] == pytest.approx(expect, rel=1e-4)
+    assert g[0] == pytest.approx(expect, rel=1e-9)
     assert report.converged
-    assert np.allclose(state.sigma_tilde_diag, s)
-
-
-def test_cadps_fd_diag_matches_dense_solve():
-    prior = build_toy_prior(4)
-    sched = _schedule()
-    t = _step_near(sched, 0.5)
-    ab = sched.alpha_bar_t(t)
-    rng = np.random.default_rng(2)
-    x = rng.uniform(-4, 4, 4)
-    prev_x = x + rng.uniform(0.1, 0.5, 4)
-    score = smoothed_score(prior, x, ab)
-    prev_score = smoothed_score(prior, prev_x, sched.alpha_bar_t(t + 1))
-    a = rng.standard_normal((2, 4))
-    meas = MeasurementModel(a=a, y=rng.standard_normal(2), sigma=0.2, x_star=np.zeros(4))
-    state = GuidanceState(prev_score=prev_score, prev_step=t + 1, prev_x=prev_x)
-    method = GuidanceMethod(tag="cadps", curvature="fd-diag")
-    g, new_state, _ = guidance_gradient_cadps(x, score, sched, t, meas, state, method)
-    s_diag = new_state.sigma_tilde_diag
-    x0 = tweedie_mean(x, score, ab)
-    lam = np.linalg.solve(meas.sigma**2 * np.eye(2) + a @ np.diag(s_diag) @ a.T, meas.y - a @ x0)
-    dense = (np.sqrt(ab) / (1 - ab)) * s_diag * (a.T @ lam)
-    assert np.allclose(g, dense, atol=1e-4)
 
 
 def test_cadps_directional_matches_dense_analytic_covariance():
@@ -299,36 +205,12 @@ def test_cadps_directional_matches_dense_analytic_covariance():
     score = smoothed_score(prior, x, ab)
     a = rng.standard_normal((2, 4))
     meas = MeasurementModel(a=a, y=rng.standard_normal(2), sigma=0.2, x_star=np.zeros(4))
-    g, _, _ = guidance_gradient_cadps(
-        x, score, sched, t, meas, GuidanceState(), score_fn=lambda z: smoothed_score(prior, z, ab)
-    )
+    g, _ = guidance_gradient_cadps(x, score, sched, t, meas, lambda z: smoothed_score(prior, z, ab))
     cov = conditional_moments(prior, x, ab).cov
     x0 = tweedie_mean(x, score, ab)
     lam = np.linalg.solve(meas.sigma**2 * np.eye(2) + a @ cov @ a.T, meas.y - a @ x0)
     dense = (np.sqrt(ab) / (1 - ab)) * cov @ (a.T @ lam)
     assert np.allclose(g, dense, rtol=1e-3, atol=1e-4)
-
-
-def test_cadps_directional_keeps_no_diagonal_for_final_step():
-    # the sampler's final CA-DPS draw uses state.sigma_tilde_diag when it is
-    # set and the isotropic (1 - ab_1) I fallback otherwise; only fd-diag sets it
-    prior = build_toy_prior(4)
-    sched = _schedule()
-    t = _step_near(sched, 0.5)
-    ab = sched.alpha_bar_t(t)
-    rng = np.random.default_rng(5)
-    x = rng.uniform(-4, 4, (3, 4))
-    score = smoothed_score(prior, x, ab)
-    meas = MeasurementModel(
-        a=rng.standard_normal((2, 4)), y=rng.standard_normal(2), sigma=0.2, x_star=np.zeros(4)
-    )
-    _, state, _ = guidance_gradient_cadps(
-        x, score, sched, t, meas, GuidanceState(), score_fn=lambda z: smoothed_score(prior, z, ab)
-    )
-    assert state.sigma_tilde_diag is None
-    diag = GuidanceMethod(tag="cadps", curvature="fd-diag")
-    _, state, _ = guidance_gradient_cadps(x, score, sched, t, meas, GuidanceState(), diag)
-    assert state.sigma_tilde_diag is not None
 
 
 def test_dps_zero_residual_guard():
@@ -407,29 +289,22 @@ def test_pigdm_scalar_closed_form():
 
 
 def test_pigdm_reduction_from_cadps():
-    # CA-DPS with Sigma forced to rt^2 I and the Jacobian convention aligned
-    # reproduces PiGDM's gradient
-    prior = build_toy_prior(2)
+    # unit Gaussian prior: CA-DPS's exact forward HVP gives Sigma_t = rt^2 I,
+    # so it reproduces PiGDM run with the exact Jacobian sqrt(ab) I
+    prior = _single_gaussian(2)
     sched = _schedule()
     t = _step_near(sched, 0.3)
     ab = sched.alpha_bar_t(t)
-    rt2 = 1 - ab
     rng = np.random.default_rng(5)
     a = rng.standard_normal((1, 2))
     meas = MeasurementModel(a=a, y=np.array([0.8]), sigma=0.3, x_star=np.zeros(2))
     x = np.array([1.2, -0.4])
     score = smoothed_score(prior, x, ab)
-    # craft the state so the fd-diag estimate lands exactly on h = -1,
-    # i.e. s_diag = (1-ab)/ab * ab = 1 - ab = rt^2
-    prev_x = x + 1.0
-    prev_score = score - 1.0
-    state = GuidanceState(prev_score=prev_score, prev_step=t + 1, prev_x=prev_x)
-    g_cadps, _, _ = guidance_gradient_cadps(
-        x, score, sched, t, meas, state, GuidanceMethod(tag="cadps", curvature="fd-diag")
+    g_cadps, _ = guidance_gradient_cadps(
+        x, score, sched, t, meas, lambda z: smoothed_score(prior, z, ab)
     )
-    jac = lambda v: (np.sqrt(ab) / (1 - ab)) * rt2 * v
-    g_pigdm, _ = guidance_gradient_pigdm(x, score, sched, t, meas, jacobian_vp=jac)
-    assert np.allclose(g_cadps, g_pigdm, atol=1e-10)
+    g_pigdm, _ = guidance_gradient_pigdm(x, score, sched, t, meas, lambda v: np.sqrt(ab) * v)
+    assert np.allclose(g_cadps, g_pigdm, rtol=1e-9, atol=1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 8, 80])
@@ -482,9 +357,7 @@ def test_cadps_directional_zero_row_of_a(monkeypatch):
     monkeypatch.setattr(guidance, "_clip_psd", spy)
     for xs, ss in ((x, score), (x[0], score[0])):  # a batch and a single (d,) state
         calls.clear()
-        g, _, report = guidance_gradient_cadps(
-            xs, ss, sched, t, meas, GuidanceState(), score_fn=score_fn
-        )
+        g, report = guidance_gradient_cadps(xs, ss, sched, t, meas, score_fn)
         assert calls == [xs.shape, xs.shape]
         assert np.all(grams[-1][..., 1, :] == 0.0) and np.all(grams[-1][..., :, 1] == 0.0)
         assert np.all(np.isfinite(g)) and report.converged
@@ -496,9 +369,8 @@ def test_sample_final_conditional_moments():
     rng = np.random.default_rng(7)
     n = 200_000
     x0 = np.zeros((n, 1))
-    s = np.full(1, 0.04)
     xs, report = sample_final_conditional(
-        x0, s, meas, rng.standard_normal((n, 1)), rng.standard_normal((n, 1))
+        x0, 0.04, meas, rng.standard_normal((n, 1)), rng.standard_normal((n, 1))
     )
     var = 1.0 / (1 / 0.04 + 1 / 0.01)
     mean = var * (1.0 / 0.01)
@@ -531,18 +403,17 @@ def test_pigdm_batched_matches_dense_solve():
 
 
 def test_sample_final_conditional_matches_gaussian_conditional():
-    # d = 3, m = 2: N(x0, diag(s)) conditioned on y = A x + sigma eps has
-    # mean x0 + S A^T M^-1 (y - A x0) and covariance S - S A^T M^-1 A S,
-    # with S = diag(s) and M = sigma^2 I + A S A^T
+    # d = 3, m = 2: N(x0, s I) conditioned on y = A x + sigma eps has
+    # mean x0 + s A^T M^-1 (y - A x0) and covariance s I - s^2 A^T M^-1 A,
+    # with M = sigma^2 I + s A A^T
     rng = np.random.default_rng(12)
     a = rng.standard_normal((2, 3))
     meas = MeasurementModel(a=a, y=np.array([0.7, -0.4]), sigma=0.3, x_star=np.zeros(3))
-    s = np.array([0.5, 1.2, 0.1])
+    s = 0.5
     x0 = np.array([0.2, -0.3, 1.0])
-    big_s = np.diag(s)
-    gain = big_s @ a.T @ np.linalg.inv(meas.sigma**2 * np.eye(2) + a @ big_s @ a.T)
+    gain = s * a.T @ np.linalg.inv(meas.sigma**2 * np.eye(2) + s * a @ a.T)
     mean = x0 + gain @ (meas.y - a @ x0)
-    cov = big_s - gain @ a @ big_s
+    cov = s * np.eye(3) - s * gain @ a
 
     n = 200_000
     noise_u = rng.standard_normal((n, 3))
@@ -553,8 +424,3 @@ def test_sample_final_conditional_matches_gaussian_conditional():
     var = np.diag(cov)
     se_cov = np.sqrt((np.outer(var, var) + cov**2) / n)
     assert np.all(np.abs(np.cov(xs.T) - cov) <= 5 * se_cov)
-    # a per-chain diagonal (one Gram per chain) gives the same draws
-    per_chain, _ = sample_final_conditional(
-        np.tile(x0, (n, 1)), np.tile(s, (n, 1)), meas, noise_u, noise_w
-    )
-    assert np.allclose(per_chain, xs, atol=1e-10)

@@ -249,6 +249,14 @@ def test_config_rejects_unknown_keys(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_config_rejects_unknown_method_keys(tmp_path):
+    # curvature selected the removed fd-diag CA-DPS mode
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"methods": ["dps", {"tag": "cadps", "curvature": "fd-diag"}]}))
+    with pytest.raises(ValueError, match="unknown method keys: curvature"):
+        load_grid_from_json(cfg_path)
+
+
 def test_config_keys_are_grid_fields(tmp_path):
     cfg = {"dims": [8], "sigmas": [0.1], "n_slices": 7, "record_timing": False}
     cfg["methods"] = ["pigdm", {"tag": "dps", "zeta": 0.5}]

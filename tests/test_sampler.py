@@ -142,7 +142,9 @@ def test_guidance_skipped_below_alpha_bar_floor(tag, monkeypatch):
     )
     cfg = ChainConfig(schedule=sched, method=GuidanceMethod(tag=tag), rng_seed=13, n_chains=4)
     run_guided_chains(prior, meas, cfg)
-    assert seen == [above, 0.1, 0.5]
+    # PiGDM and CA-DPS draw the last step from their final conditional and
+    # compute no guidance there
+    assert seen == ([above, 0.1, 0.5] if tag == "dps" else [above, 0.1])
 
 
 def _harness_schedule():
@@ -150,8 +152,8 @@ def _harness_schedule():
     return build_linear_vp_schedule(200, 0.1, 500.0)
 
 
-# m = 1 separates CA-DPS's 1 + m from 1 + 2m least; m = 4 is the full-scale
-# cell's m
+# m = 1 gives CA-DPS the fewest extra score evaluations; m = 4 is the
+# full-scale cell's m
 @pytest.mark.parametrize(
     "tag, m",
     [
@@ -178,9 +180,9 @@ def test_score_never_evaluated_below_alpha_bar_floor(tag, m, monkeypatch):
     _, diags = run_guided_chains(build_toy_prior(4), meas, cfg)
     assert diags.n_aborted == 0
     assert min(seen) >= _GUIDANCE_AB_MIN
-    # CA-DPS adds one score evaluation per measurement direction
-    per_step = 1 + m if tag == "cadps" else 1
-    assert len(seen) == 55 * per_step
+    # CA-DPS adds one score evaluation per measurement direction on every
+    # step but the last, which draws from the final conditional
+    assert len(seen) == (55 + 54 * m if tag == "cadps" else 55)
 
 
 def _unconditional_from(prior, sched, n, seed, t_start):
