@@ -2,17 +2,17 @@
 
 Library layout:
     schedule     discrete VP noise schedule
-    linalg       CG solver, Gaussian log-densities
+    linalg       batched CG solver for the m x m likelihood systems
     gmm          mixture prior, smoothed score, exact moments and posterior
     measurement  random linear-Gaussian measurement models
     guidance     DPS / PiGDM / covariance-aware likelihood corrections
-    sampler      ancestral reverse diffusion, guided and unconditional
+    sampler      guided ancestral reverse diffusion (A = 0 runs it unguided)
     metrics      sliced-Wasserstein distance SW_2, CI aggregation
     harness      experiment grid (every run setting), CSV/JSONL emission
 """
 
 from .schedule import NoiseSchedule, build_linear_vp_schedule, snr_sigma_sq
-from .linalg import CgReport, conjugate_gradient_solve, gaussian_log_pdf
+from .linalg import CgReport, conjugate_gradient_solve
 from .gmm import (
     ConditionalMoments,
     GaussianMixture,
@@ -41,7 +41,6 @@ from .sampler import (
     ChainConfig,
     reverse_step_unconditional,
     run_guided_chains,
-    run_unconditional_chains,
 )
 from .metrics import aggregate_ci, draw_slice_directions, sliced_wasserstein
 from .harness import (

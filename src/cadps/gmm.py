@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import gaussian_log_pdf
-
 __all__ = [
     "GaussianMixture",
     "ConditionalMoments",
@@ -204,12 +202,13 @@ def exact_posterior(prior: GaussianMixture, meas) -> GaussianMixture:
     cov = np.linalg.inv(np.eye(d) + (a.T @ a) / sigma**2)
     cov = 0.5 * (cov + cov.T)
     means = (np.full((prior.n_components, d), (a.T @ y) / sigma**2) + prior.means) @ cov.T
-    weight_cov = sigma**2 * np.eye(m) + a @ a.T
-    log_w = np.array(
-        [
-            lw + gaussian_log_pdf(y, a @ u, weight_cov)
-            for lw, u in zip(prior.log_weights, prior.means)
-        ]
+    chol = np.linalg.cholesky(sigma**2 * np.eye(m) + a @ a.T)
+    # numpy, not scipy.linalg, which would double the package's import cost
+    z = np.linalg.solve(chol, y[:, None] - a @ prior.means.T)
+    log_w = prior.log_weights + (
+        -0.5 * np.einsum("ik,ik->k", z, z)
+        - np.sum(np.log(np.diag(chol)))
+        - 0.5 * m * np.log(2.0 * np.pi)
     )
     return GaussianMixture(
         dim=d, means=means, log_weights=_normalize_log_weights(log_w), cov=cov

@@ -1,8 +1,4 @@
-"""Small dense linear-algebra kernel.
-
-Conjugate gradient for SPD systems (batched over independent systems)
-and Gaussian log-densities via Cholesky.
-"""
+"""Conjugate gradient for SPD systems, batched over independent systems."""
 
 from __future__ import annotations
 
@@ -14,7 +10,6 @@ import numpy as np
 __all__ = [
     "CgReport",
     "conjugate_gradient_solve",
-    "gaussian_log_pdf",
 ]
 
 
@@ -85,20 +80,3 @@ def conjugate_gradient_solve(
         converged=bool(np.all(res <= thresh)),
     )
     return (x[0] if single else x), report
-
-
-def gaussian_log_pdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
-    """log N(x; mean, cov) via Cholesky; raises LinAlgError if cov not SPD."""
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    mean = np.atleast_1d(np.asarray(mean, dtype=np.float64))
-    cov = np.atleast_2d(np.asarray(cov, dtype=np.float64))
-    k = x.shape[0]
-    if mean.shape[0] != k or cov.shape != (k, k):
-        raise ValueError("dimension mismatch in gaussian_log_pdf")
-    chol = np.linalg.cholesky(cov)
-    # numpy, not scipy.linalg, which would double the package's import cost
-    z = np.linalg.solve(chol, x - mean)
-    return float(
-        -0.5 * z @ z - np.sum(np.log(np.diag(chol))) - 0.5 * k * np.log(2.0 * np.pi)
-    )
-

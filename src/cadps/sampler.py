@@ -40,7 +40,6 @@ __all__ = [
     "ChainConfig",
     "ChainDiagnostics",
     "reverse_step_unconditional",
-    "run_unconditional_chains",
     "run_guided_chains",
 ]
 
@@ -74,29 +73,13 @@ def reverse_step_unconditional(
     ab = schedule.alpha_bar_t(t)
     ab_prev = schedule.alpha_bar_prev(t)
     beta = schedule.beta_t(t)
-    alpha = schedule.alpha_t(t)
     x0 = tweedie_mean(x_t, score, ab)
-    coef_x = np.sqrt(alpha) * (1.0 - ab_prev) / (1.0 - ab)
+    coef_x = np.sqrt(1.0 - beta) * (1.0 - ab_prev) / (1.0 - ab)
     coef_x0 = np.sqrt(ab_prev) * beta / (1.0 - ab)
     # z is drawn every step (even at t = 1 where sigma_tilde = 0) to keep
     # the RNG stream identical across guided and unconditional runs
     z = rng.standard_normal(np.shape(x_t))
     return coef_x * x_t + coef_x0 * x0 + schedule.sigma_tilde_t(t) * z
-
-
-def run_unconditional_chains(
-    prior: GaussianMixture,
-    schedule: NoiseSchedule,
-    n_chains: int,
-    rng_seed: int | np.random.Generator = 0,
-) -> np.ndarray:
-    """Plain reverse diffusion from x_{t0} ~ N(0, I); returns (n_chains, d)."""
-    rng = np.random.default_rng(rng_seed)
-    x, t0 = _start_chains(schedule, n_chains, prior.dim, rng)
-    for t in range(t0, 0, -1):
-        score = smoothed_score(prior, x, schedule.alpha_bar_t(t))
-        x = reverse_step_unconditional(x, score, schedule, t, rng)
-    return x
 
 
 def run_guided_chains(

@@ -18,15 +18,14 @@ __all__ = ["NoiseSchedule", "build_linear_vp_schedule", "snr_sigma_sq"]
 class NoiseSchedule:
     """Per-step noise tables for an N-step reverse diffusion.
 
-    beta[i], alpha[i] = 1 - beta[i], and alpha_bar[i] (running product)
-    are stored 0-based internally; use the accessors with 1-based t.
+    beta[i] and alpha_bar[i], the running product of 1 - beta, are
+    stored 0-based internally; use the accessors with 1-based t.
     sigma_tilde holds the ancestral-step noise scales, with
     sigma_tilde[0] = 0 so the final step is deterministic.
     """
 
     n_steps: int
     beta: np.ndarray
-    alpha: np.ndarray
     alpha_bar: np.ndarray
     sigma_tilde: np.ndarray
 
@@ -37,10 +36,6 @@ class NoiseSchedule:
     def beta_t(self, t: int) -> float:
         self._check_t(t)
         return float(self.beta[t - 1])
-
-    def alpha_t(self, t: int) -> float:
-        self._check_t(t)
-        return float(self.alpha[t - 1])
 
     def alpha_bar_t(self, t: int) -> float:
         self._check_t(t)
@@ -74,10 +69,9 @@ def build_linear_vp_schedule(
     beta = np.minimum(
         (beta_min + (i / n_steps) * (beta_max - beta_min)) / n_steps, 0.999
     )
-    alpha = 1.0 - beta
     # heavily capped schedules (small N with large beta_max) underflow the
     # running product to exactly 0; floor it so 1/sqrt(alpha_bar) stays finite
-    alpha_bar = np.maximum(np.cumprod(alpha), 1e-250)
+    alpha_bar = np.maximum(np.cumprod(1.0 - beta), 1e-250)
     alpha_bar_prev = np.concatenate(([1.0], alpha_bar[:-1]))
     # DDPM posterior-variance choice; the first entry is forced to zero so
     # the returned x0 is the guided posterior mean.
@@ -86,7 +80,6 @@ def build_linear_vp_schedule(
     return NoiseSchedule(
         n_steps=n_steps,
         beta=beta,
-        alpha=alpha,
         alpha_bar=alpha_bar,
         sigma_tilde=sigma_tilde,
     )

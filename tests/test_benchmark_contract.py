@@ -9,6 +9,9 @@ these tests make the same break fail here first.
 """
 
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -18,7 +21,8 @@ import pytest
 from cadps import build_linear_vp_schedule, build_toy_prior, guidance, harness, sampler
 from cadps.measurement import MeasurementModel
 
-_WORKLOAD = Path(__file__).resolve().parents[1] / "perfbench" / "workload.py"
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+_WORKLOAD = _PERFBENCH / "workload.py"
 
 
 def _load_workload(monkeypatch):
@@ -110,3 +114,24 @@ def test_final_draw_span_per_chain_run(monkeypatch):
             assert steps == guided * t0
         else:
             assert steps == guided * (t0 - 1) + ["gmm.smoothed_score", "guidance.final"]
+
+
+def test_import_cadps_loads_every_timed_module():
+    # perfbench/run.py reads each IMPORT_METRICS module's cumulative time
+    # from ``python -X importtime`` of a process that imports cadps, and
+    # fails with a KeyError if one of them is never imported
+    spec = importlib.util.spec_from_file_location("perfbench_run", _PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    src = str(Path(harness.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run(
+        [sys.executable, "-c", "import json, sys, cadps; print(json.dumps(sorted(sys.modules)))"],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    loaded = set(json.loads(out))
+    assert set(run.IMPORT_METRICS.values()) <= loaded

@@ -7,7 +7,6 @@ from cadps import (
     build_linear_vp_schedule,
     build_toy_prior,
     run_guided_chains,
-    run_unconditional_chains,
     smoothed_score,
 )
 from cadps import sampler
@@ -17,8 +16,16 @@ from cadps.sampler import _GUIDANCE_AB_MIN, reverse_step_unconditional
 from cadps.schedule import NoiseSchedule
 
 
-def _single_gaussian(d=1):
-    return GaussianMixture(dim=d, means=np.zeros((1, d)), log_weights=np.zeros(1))
+def _single_gaussian(d=1, mean=0.0):
+    return GaussianMixture(dim=d, means=np.full((1, d), mean), log_weights=np.zeros(1))
+
+
+def _unguided_chains(prior, sched, n, seed, tag="dps"):
+    """run_guided_chains with A = 0, which adds no guidance."""
+    d = prior.dim
+    meas = MeasurementModel(a=np.zeros((1, d)), y=np.zeros(1), sigma=0.5, x_star=np.zeros(d))
+    cfg = ChainConfig(schedule=sched, method=GuidanceMethod(tag=tag), rng_seed=seed, n_chains=n)
+    return run_guided_chains(prior, meas, cfg)
 
 
 def test_reverse_step_zero_beta_is_noop():
@@ -41,7 +48,8 @@ def test_reverse_step_final_is_deterministic():
 def test_unconditional_chain_recovers_gaussian_prior():
     prior = _single_gaussian(2)
     sched = build_linear_vp_schedule(1000, 0.1, 500.0)
-    xs = run_unconditional_chains(prior, sched, 10_000, rng_seed=3)
+    xs, diags = _unguided_chains(prior, sched, 10_000, 3)
+    assert diags.n_aborted == 0
     assert np.all(np.abs(xs.mean(axis=0)) < 0.05)
     cov = np.cov(xs.T)
     assert np.allclose(cov, np.eye(2), atol=0.1)
@@ -51,12 +59,28 @@ def test_unconditional_chain_recovers_gaussian_prior():
 def test_zero_operator_matches_unconditional(tag):
     prior = build_toy_prior(2)
     sched = build_linear_vp_schedule(50, 0.1, 500.0)
-    meas = MeasurementModel(a=np.zeros((1, 2)), y=np.zeros(1), sigma=0.5, x_star=np.zeros(2))
-    cfg = ChainConfig(schedule=sched, method=GuidanceMethod(tag=tag), rng_seed=4, n_chains=8)
-    guided, diags = run_guided_chains(prior, meas, cfg)
-    free = run_unconditional_chains(prior, sched, 8, rng_seed=4)
+    guided, diags = _unguided_chains(prior, sched, 8, 4, tag)
+    t0 = int(np.flatnonzero(sched.alpha_bar >= _GUIDANCE_AB_MIN)[-1]) + 1
     assert diags.n_aborted == 0
-    assert np.array_equal(guided, free)
+    assert np.array_equal(guided, _unconditional_from(prior, sched, 8, 4, t0))
+
+
+@pytest.mark.parametrize(
+    "scale, aborted", [(1.0 + 1e-3, True), (1.0 - 1e-3, False)], ids=["above", "below"]
+)
+def test_runaway_guard_at_its_edge(scale, aborted):
+    # a one-component prior puts x_1, the last state the guard inspects, at
+    # sqrt(alpha_bar_1) times its mean up to O(1) noise
+    sched = build_linear_vp_schedule(50, 0.1, 500.0)
+    prior = _single_gaussian(1, mean=scale * 1e10 / np.sqrt(sched.alpha_bar_t(1)))
+    xs, diags = _unguided_chains(prior, sched, 6, 17)
+    if aborted:
+        assert diags.n_aborted == 6
+        assert np.all(np.isnan(xs))
+    else:
+        assert diags.n_aborted == 0
+        # the final draw lies past 1e10 but is not inspected
+        assert np.all(np.isfinite(xs)) and np.all(xs > 1e10)
 
 
 def test_determinism_bit_identical():
@@ -114,13 +138,10 @@ def _schedule_from_alpha_bar(alpha_bar):
     build_linear_vp_schedule derives the other tables."""
     ab = np.asarray(alpha_bar, dtype=np.float64)
     ab_prev = np.concatenate(([1.0], ab[:-1]))
-    alpha = ab / ab_prev
-    beta = 1.0 - alpha
+    beta = 1.0 - ab / ab_prev
     sigma_tilde = np.sqrt(beta * (1.0 - ab_prev) / (1.0 - ab))
     sigma_tilde[0] = 0.0
-    return NoiseSchedule(
-        n_steps=len(ab), beta=beta, alpha=alpha, alpha_bar=ab, sigma_tilde=sigma_tilde
-    )
+    return NoiseSchedule(n_steps=len(ab), beta=beta, alpha_bar=ab, sigma_tilde=sigma_tilde)
 
 
 @pytest.mark.parametrize("tag", ["cadps", "dps", "pigdm"])
@@ -199,16 +220,16 @@ def test_unconditional_chains_start_at_first_guided_step():
     # every step above the floor: the chains run all N steps, as before
     mild = build_linear_vp_schedule(50, 0.1, 20.0)
     assert mild.alpha_bar[-1] >= _GUIDANCE_AB_MIN
-    got = run_unconditional_chains(prior, mild, 8, rng_seed=16)
+    got, _ = _unguided_chains(prior, mild, 8, 16)
     assert np.array_equal(got, _unconditional_from(prior, mild, 8, 16, 50))
     # the harness schedule: steps 56..200 lie below the floor and are not run
     sched = _harness_schedule()
     assert sched.alpha_bar_t(55) >= _GUIDANCE_AB_MIN > sched.alpha_bar_t(56)
-    got = run_unconditional_chains(prior, sched, 8, rng_seed=16)
+    got, _ = _unguided_chains(prior, sched, 8, 16)
     assert np.array_equal(got, _unconditional_from(prior, sched, 8, 16, 55))
 
 
 def test_schedule_without_guided_step_rejected():
     sched = _schedule_from_alpha_bar([_GUIDANCE_AB_MIN / 2, _GUIDANCE_AB_MIN / 4])
     with pytest.raises(ValueError, match="alpha_bar"):
-        run_unconditional_chains(_single_gaussian(2), sched, 2)
+        _unguided_chains(_single_gaussian(2), sched, 2, 0)

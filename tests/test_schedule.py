@@ -30,9 +30,8 @@ def test_invariants():
     sched = build_linear_vp_schedule(500, 0.1, 500.0)
     assert np.all(np.diff(sched.beta) >= 0)
     assert np.all(np.diff(sched.alpha_bar) < 0)
-    assert np.allclose(sched.alpha, 1.0 - sched.beta)
     # running-product identity (above the underflow floor)
-    prod = np.cumprod(sched.alpha)
+    prod = np.cumprod(1.0 - sched.beta)
     mask = prod > 1e-200
     assert np.allclose(sched.alpha_bar[mask], prod[mask], rtol=1e-12)
     # ancestral noise is the DDPM posterior-variance choice
@@ -42,6 +41,20 @@ def test_invariants():
         expect = np.sqrt(sched.beta_t(t) * (1 - ab_prev) / (1 - ab))
         assert sched.sigma_tilde_t(t) == pytest.approx(expect, rel=1e-12)
     assert sched.sigma_tilde_t(1) == 0.0
+
+
+def test_alpha_bar_floor_at_its_edge():
+    # the smoke schedule's running product underflows on its last 49 steps
+    sched = build_linear_vp_schedule(200, 0.1, 500.0)
+    floored = sched.alpha_bar == 1e-250
+    assert np.count_nonzero(floored) == 49
+    assert np.all(floored[151:]) and sched.alpha_bar[150] > 1e-250
+    assert np.all(np.isfinite(sched.sigma_tilde))
+    assert np.all(np.isfinite(1.0 / np.sqrt(sched.alpha_bar)))
+    # 500 steps bottom out at 3.6e-219, above the floor
+    sched = build_linear_vp_schedule(500, 0.1, 500.0)
+    assert np.array_equal(sched.alpha_bar, np.cumprod(1.0 - sched.beta))
+    assert sched.alpha_bar.min() == pytest.approx(3.6e-219, rel=0.01)
 
 
 def test_rebuild_is_bit_identical():
