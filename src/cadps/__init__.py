@@ -11,7 +11,7 @@ Library layout:
     harness      experiment grid (every run setting), CSV/JSONL emission
 """
 
-from .schedule import NoiseSchedule, build_linear_vp_schedule, snr_sigma_sq
+from .schedule import NoiseSchedule, build_linear_vp_schedule
 from .linalg import CgReport, conjugate_gradient_solve
 from .gmm import (
     ConditionalMoments,
@@ -39,7 +39,7 @@ from .guidance import (
 )
 from .sampler import (
     ChainConfig,
-    reverse_step_unconditional,
+    reverse_step,
     run_guided_chains,
 )
 from .metrics import aggregate_ci, draw_slice_directions, sliced_wasserstein

@@ -1,10 +1,12 @@
 """Likelihood-score corrections: DPS, PiGDM, and the covariance-aware rule.
 
-Each function accepts a single state vector (d,) or a batch (n, d) of
-independent chains; per-chain quantities broadcast along the leading
-axis.  PiGDM, CA-DPS and the final conditional draw solve the same
-likelihood system (sigma^2 I + G) lam = y - A x0_hat, differing only in
-the m x m Gram G = A C A^T of their covariance C.  CA-DPS takes its
+Each rule returns its approximation of grad log p_t(y | x_t), which the
+sampler adds to the prior score, and reads the noise level only as
+ab = alpha_bar_t.  Each function accepts a single state vector (d,) or a
+batch (n, d) of independent chains; per-chain quantities broadcast along
+the leading axis.  PiGDM, CA-DPS and the final conditional draw solve the
+same likelihood system (sigma^2 I + G) lam = y - A x0_hat, differing only
+in the m x m Gram G = A C A^T of their covariance C.  CA-DPS takes its
 covariance from forward differences of the score along the measurement
 directions against the step's own score, at m extra score evaluations.
 """
@@ -18,7 +20,6 @@ import numpy as np
 
 from .linalg import conjugate_gradient_solve
 from .measurement import MeasurementModel, residual
-from .schedule import NoiseSchedule, snr_sigma_sq
 
 __all__ = [
     "METHOD_TAGS",
@@ -55,7 +56,9 @@ class GuidanceMethod:
     def __post_init__(self):
         if self.tag not in METHOD_TAGS:
             raise ValueError(f"unknown guidance tag {self.tag!r}")
-        if self.tag == "dps" and self.zeta <= 0:
+        if self.tag != "dps" and self.zeta != 1.0:
+            raise ValueError(f"zeta is a DPS setting; {self.tag} takes none")
+        if not self.zeta > 0:
             raise ValueError("zeta must be positive for DPS")
 
 
@@ -154,8 +157,7 @@ def _clip_psd(g: np.ndarray) -> np.ndarray:
 def guidance_gradient_cadps(
     x_t: np.ndarray,
     score: np.ndarray,
-    schedule: NoiseSchedule,
-    t: int,
+    ab: float,
     meas: MeasurementModel,
     score_fn: Callable[[np.ndarray], np.ndarray],
 ):
@@ -170,7 +172,6 @@ def guidance_gradient_cadps(
     cross-coordinate covariance structure is retained at a cost of m extra
     score evaluations per step (none for a zero row of A).
     """
-    ab = schedule.alpha_bar_t(t)
     rhs = residual(meas, tweedie_mean(x_t, score, ab))
     # the mixture smoothing length is at least sqrt(1 - ab), so the FD step
     # tracks it
@@ -211,8 +212,7 @@ def sample_final_conditional(
 def guidance_gradient_dps(
     x_t: np.ndarray,
     score: np.ndarray,
-    schedule: NoiseSchedule,
-    t: int,
+    ab: float,
     meas: MeasurementModel,
     jacobian_vp: Callable[[np.ndarray], np.ndarray],
     zeta: float = 1.0,
@@ -221,9 +221,8 @@ def guidance_gradient_dps(
 
     jacobian_vp applies the symmetric Tweedie Jacobian J, so J^T v = J v.
     """
-    if zeta <= 0:
+    if not zeta > 0:
         raise ValueError("zeta must be positive")
-    ab = schedule.alpha_bar_t(t)
     r = residual(meas, tweedie_mean(x_t, score, ab))
     rnorm = np.linalg.norm(r, axis=-1, keepdims=True)
     coeff = np.where(rnorm > 0, 2.0 * zeta / np.where(rnorm > 0, rnorm, 1.0), 0.0)
@@ -233,19 +232,15 @@ def guidance_gradient_dps(
 def guidance_gradient_pigdm(
     x_t: np.ndarray,
     score: np.ndarray,
-    schedule: NoiseSchedule,
-    t: int,
+    ab: float,
     meas: MeasurementModel,
     jacobian_vp: Callable[[np.ndarray], np.ndarray],
 ):
     """PiGDM correction J^T A^T (sigma^2 I + r_t^2 A A^T)^{-1} (y - A x0_hat).
 
-    r_t^2 = sigma_t^2 / (1 + sigma_t^2) = 1 - alpha_bar_t; jacobian_vp
-    applies J as for DPS.  Returns (gradient, cg_report).
+    r_t^2 = 1 - ab is the variance of the VP form; jacobian_vp applies J as
+    for DPS.  Returns (gradient, cg_report).
     """
-    ab = schedule.alpha_bar_t(t)
-    sq = snr_sigma_sq(schedule, t)
-    rt2 = sq / (1.0 + sq)
     rhs = residual(meas, tweedie_mean(x_t, score, ab))
-    lam, report = _solve_likelihood(meas, rt2 * (meas.a @ meas.a.T), rhs)
+    lam, report = _solve_likelihood(meas, (1.0 - ab) * (meas.a @ meas.a.T), rhs)
     return jacobian_vp(lam @ meas.a), report

@@ -201,6 +201,13 @@ def run_grid(grid: ExperimentGrid, master_seed: int, cells=None):
     (sorted records, all_cells_valid)."""
     if cells is None:
         cells = [(d, m, s) for d in grid.dims for m in grid.ms for s in grid.sigmas]
+    # records are written only at the end, so a bad cell must not wait its turn
+    for d, m, sigma in cells:
+        if d < 2 or d % 2 or not 1 <= m <= d or not sigma > 0:
+            raise ValueError(
+                f"invalid cell (d={d}, m={m}, sigma={sigma}): "
+                "need d even and >= 2, 1 <= m <= d and sigma > 0"
+            )
     records = []
     all_valid = True
     for d, m, sigma in cells:

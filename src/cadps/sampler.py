@@ -5,9 +5,11 @@ batch, so a batch of size one reproduces the single-chain stream
 exactly.  Every chain starts from N(0, I) at the first guided step t0,
 the last step with alpha_bar >= _GUIDANCE_AB_MIN: the steps above t0
 map N(0, I) to itself up to O(sqrt(alpha_bar)) <= 1e-6 and are not run.
-The score is evaluated once per step and reused for the Tweedie mean,
-the guidance term, and as the base point of CA-DPS's forward-difference
-Hessian-vector products.
+Each guided step is one ancestral step with the posterior score: the
+prior score plus the guidance rule's approximation of the likelihood
+score grad log p_t(y | x_t).  The prior score is evaluated once per step
+and reused for the Tweedie mean, the guidance term, and as the base point
+of CA-DPS's forward-difference Hessian-vector products.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ _GUIDANCE_AB_MIN = 1e-12
 __all__ = [
     "ChainConfig",
     "ChainDiagnostics",
-    "reverse_step_unconditional",
+    "reverse_step",
     "run_guided_chains",
 ]
 
@@ -62,23 +64,20 @@ class ChainDiagnostics:
         return int(np.count_nonzero(self.aborted))
 
 
-def reverse_step_unconditional(
+def reverse_step(
     x_t: np.ndarray,
     score: np.ndarray,
     schedule: NoiseSchedule,
     t: int,
-    rng: np.random.Generator,
+    z: np.ndarray,
 ) -> np.ndarray:
-    """One ancestral DDPM step using the posterior-mean parameterization."""
+    """One ancestral DDPM step, posterior-mean form, with standard-normal noise z."""
     ab = schedule.alpha_bar_t(t)
     ab_prev = schedule.alpha_bar_prev(t)
     beta = schedule.beta_t(t)
     x0 = tweedie_mean(x_t, score, ab)
     coef_x = np.sqrt(1.0 - beta) * (1.0 - ab_prev) / (1.0 - ab)
     coef_x0 = np.sqrt(ab_prev) * beta / (1.0 - ab)
-    # z is drawn every step (even at t = 1 where sigma_tilde = 0) to keep
-    # the RNG stream identical across guided and unconditional runs
-    z = rng.standard_normal(np.shape(x_t))
     return coef_x * x_t + coef_x0 * x0 + schedule.sigma_tilde_t(t) * z
 
 
@@ -89,10 +88,10 @@ def run_guided_chains(
 ):
     """Guided reverse diffusion; returns (samples (n, d), diagnostics).
 
-    The guidance correction is applied additively in the direction that
-    increases measurement consistency.  Chains whose state goes
-    non-finite are frozen at NaN and flagged in the diagnostics.  Chains
-    start at the first guided step t0, and DPS guides every step from there.
+    Each step adds the method's likelihood gradient to the score and steps
+    with the sum.  Chains whose state goes non-finite are frozen at NaN and
+    flagged in the diagnostics.  Chains start at the first guided step t0,
+    and DPS guides every step from there.
 
     For a nonzero A, PiGDM and CA-DPS guide down to t = 2 and then draw
     their final x0 from N(x0_hat, (1 - ab_1) I) conditioned on the
@@ -115,9 +114,10 @@ def run_guided_chains(
         aborted |= bad
         x_safe = np.where(aborted[:, None], 0.0, x)
         score = smoothed_score(prior, x_safe, ab)
-        # also taken where the final draw below discards it, so that its z
-        # keeps the RNG stream the same for every method
-        x_next = reverse_step_unconditional(x_safe, score, schedule, t, rng)
+        # drawn every step, also where sigma_tilde = 0 or the final draw
+        # below replaces the step, so the RNG stream is the same for every
+        # method and every measurement
+        z = rng.standard_normal(x.shape)
 
         if t == 1 and method.tag != "dps" and np.any(meas.a):
             # final step: the deterministic Tweedie output collapses the
@@ -134,29 +134,20 @@ def run_guided_chains(
                 grad, report = guidance_gradient_cadps(
                     x_safe,
                     score,
-                    schedule,
-                    t,
+                    ab,
                     meas,
                     lambda xx, _ab=ab: smoothed_score(prior, xx, _ab),
                 )
             elif method.tag == "dps":
                 jvp = make_tweedie_jacobian_vp(prior, ab, x_safe)
-                grad = guidance_gradient_dps(
-                    x_safe, score, schedule, t, meas, jvp, zeta=method.zeta
-                )
+                grad = guidance_gradient_dps(x_safe, score, ab, meas, jvp, zeta=method.zeta)
             elif method.tag == "pigdm":
                 jvp = make_tweedie_jacobian_vp(prior, ab, x_safe)
-                grad, report = guidance_gradient_pigdm(x_safe, score, schedule, t, meas, jvp)
+                grad, report = guidance_gradient_pigdm(x_safe, score, ab, meas, jvp)
             else:  # pragma: no cover - rejected at construction
                 raise ValueError(method.tag)
-            # couple the likelihood score through the same channel the
-            # ancestral step applies to the prior score: equivalent to
-            # stepping with score + grad, i.e. a
-            # beta_t * sqrt(alpha_bar_prev / alpha_bar) weight on the
-            # correction.  A unit coefficient is unstable for near-exact
-            # likelihood scores.
-            kappa = schedule.beta_t(t) * np.sqrt(schedule.alpha_bar_prev(t) / ab)
-            x = x_next + kappa * grad
+            # one ancestral step with the posterior score
+            x = reverse_step(x_safe, score + grad, schedule, t, z)
         if report is not None and not report.converged:
             cg_failures += 1
         bad = ~np.all(np.isfinite(x), axis=1)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["NoiseSchedule", "build_linear_vp_schedule", "snr_sigma_sq"]
+__all__ = ["NoiseSchedule", "build_linear_vp_schedule"]
 
 
 @dataclass(frozen=True)
@@ -83,13 +83,3 @@ def build_linear_vp_schedule(
         alpha_bar=alpha_bar,
         sigma_tilde=sigma_tilde,
     )
-
-
-def snr_sigma_sq(schedule: NoiseSchedule, t: int) -> float:
-    """sigma_t^2 = (1 - alpha_bar_t) / alpha_bar_t.
-
-    This is the variance consumed by the r_t^2 = sigma_t^2/(1+sigma_t^2)
-    heuristic, so r_t^2 reduces to 1 - alpha_bar_t.
-    """
-    ab = schedule.alpha_bar_t(t)
-    return (1.0 - ab) / ab

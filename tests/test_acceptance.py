@@ -151,7 +151,7 @@ def test_criterion_3_solver_suite(capsys):
     meas = MeasurementModel(a=a, y=rng.standard_normal(2), sigma=0.2, x_star=np.zeros(4))
     x0 = tweedie_mean(x, score, ab)
     g_dir, _ = guidance_gradient_cadps(
-        x, score, sched, t, meas, lambda z: smoothed_score(prior, z, ab)
+        x, score, ab, meas, lambda z: smoothed_score(prior, z, ab)
     )
     cov = conditional_moments(prior, x, ab).cov
     lam = np.linalg.solve(meas.sigma**2 * np.eye(2) + a @ cov @ a.T, meas.y - a @ x0)

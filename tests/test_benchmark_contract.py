@@ -52,10 +52,10 @@ def test_tracer_installs_and_restores(monkeypatch, tag):
         ab = sched.alpha_bar_t(1)
         score = sampler.smoothed_score(prior, x, ab)
         if tag == "pigdm":
-            sampler.guidance_gradient_pigdm(x, score, sched, 1, meas, lambda v: v)
+            sampler.guidance_gradient_pigdm(x, score, ab, meas, lambda v: v)
         else:
             sampler.guidance_gradient_cadps(
-                x, score, sched, 1, meas, lambda xx: sampler.smoothed_score(prior, xx, ab)
+                x, score, ab, meas, lambda xx: sampler.smoothed_score(prior, xx, ab)
             )
     finally:
         tracer.restore()

@@ -10,7 +10,6 @@ from cadps import (
     guidance_gradient_dps,
     guidance_gradient_pigdm,
     smoothed_score,
-    snr_sigma_sq,
     tweedie_mean,
 )
 from cadps import guidance
@@ -46,6 +45,17 @@ def test_method_validation():
         GuidanceMethod(tag="nope")
     with pytest.raises(ValueError):
         GuidanceMethod(tag="dps", zeta=0.0)
+    # NaN passes a zeta <= 0 test
+    with pytest.raises(ValueError, match="positive"):
+        GuidanceMethod(tag="dps", zeta=float("nan"))
+    meas = MeasurementModel(a=np.eye(1), y=np.zeros(1), sigma=0.1, x_star=np.zeros(1))
+    with pytest.raises(ValueError, match="positive"):
+        guidance_gradient_dps(np.ones(1), np.ones(1), 0.5, meas, lambda v: v, zeta=np.nan)
+    # zeta is a DPS setting; the other rules would ignore it
+    for tag, zeta in (("pigdm", -3.0), ("pigdm", 3.0), ("cadps", 0.5), ("cadps", np.nan)):
+        with pytest.raises(ValueError, match="DPS setting"):
+            GuidanceMethod(tag=tag, zeta=zeta)
+    assert GuidanceMethod(tag="pigdm", zeta=1.0) == GuidanceMethod(tag="pigdm")
 
 
 def test_tweedie_examples():
@@ -150,11 +160,11 @@ def test_all_gradients_vanish_for_zero_operator():
     x = np.array([1.0, -0.5])
     s = smoothed_score(prior, x, ab)
     meas = MeasurementModel(a=np.zeros((1, 2)), y=np.zeros(1), sigma=0.1, x_star=np.zeros(2))
-    g, _ = guidance_gradient_cadps(x, s, sched, t, meas, lambda z: smoothed_score(prior, z, ab))
+    g, _ = guidance_gradient_cadps(x, s, ab, meas, lambda z: smoothed_score(prior, z, ab))
     assert np.allclose(g, 0.0)
     jvp = make_tweedie_jacobian_vp(prior, ab, x)
-    assert np.allclose(guidance_gradient_dps(x, s, sched, t, meas, jvp), 0.0)
-    g, _ = guidance_gradient_pigdm(x, s, sched, t, meas, jvp)
+    assert np.allclose(guidance_gradient_dps(x, s, ab, meas, jvp), 0.0)
+    g, _ = guidance_gradient_pigdm(x, s, ab, meas, jvp)
     assert np.allclose(g, 0.0)
 
 
@@ -172,7 +182,7 @@ def test_cadps_directional_requires_score_fn():
         x_star=np.zeros(4),
     )
     with pytest.raises(TypeError, match="score_fn"):
-        guidance_gradient_cadps(x, s, sched, t, meas)
+        guidance_gradient_cadps(x, s, ab, meas)
 
 
 def test_cadps_scalar_closed_form():
@@ -186,7 +196,7 @@ def test_cadps_scalar_closed_form():
     score = smoothed_score(prior, x, ab)
     meas = MeasurementModel(a=np.eye(1), y=np.array([0.9]), sigma=0.3, x_star=np.zeros(1))
     g, report = guidance_gradient_cadps(
-        x, score, sched, t, meas, lambda z: smoothed_score(prior, z, ab)
+        x, score, ab, meas, lambda z: smoothed_score(prior, z, ab)
     )
     s = 1 - ab
     x0 = tweedie_mean(x, score, ab)
@@ -205,7 +215,7 @@ def test_cadps_directional_matches_dense_analytic_covariance():
     score = smoothed_score(prior, x, ab)
     a = rng.standard_normal((2, 4))
     meas = MeasurementModel(a=a, y=rng.standard_normal(2), sigma=0.2, x_star=np.zeros(4))
-    g, _ = guidance_gradient_cadps(x, score, sched, t, meas, lambda z: smoothed_score(prior, z, ab))
+    g, _ = guidance_gradient_cadps(x, score, ab, meas, lambda z: smoothed_score(prior, z, ab))
     cov = conditional_moments(prior, x, ab).cov
     x0 = tweedie_mean(x, score, ab)
     lam = np.linalg.solve(meas.sigma**2 * np.eye(2) + a @ cov @ a.T, meas.y - a @ x0)
@@ -223,7 +233,7 @@ def test_dps_zero_residual_guard():
     x0 = tweedie_mean(x, score, ab)
     meas = MeasurementModel(a=np.eye(1), y=np.array([x0[0]]), sigma=0.1, x_star=np.zeros(1))
     jvp = make_tweedie_jacobian_vp(prior, ab, x)
-    assert np.allclose(guidance_gradient_dps(x, score, sched, t, meas, jvp), 0.0)
+    assert np.allclose(guidance_gradient_dps(x, score, ab, meas, jvp), 0.0)
 
 
 def test_dps_unit_arithmetic():
@@ -235,7 +245,7 @@ def test_dps_unit_arithmetic():
     score = smoothed_score(prior, x, ab)  # zero at the origin
     x0 = tweedie_mean(x, score, ab)
     meas = MeasurementModel(a=np.eye(1), y=np.array([x0[0] + 2.0]), sigma=0.1, x_star=np.zeros(1))
-    g = guidance_gradient_dps(x, score, sched, t, meas, zeta=1.0, jacobian_vp=lambda v: v)
+    g = guidance_gradient_dps(x, score, ab, meas, zeta=1.0, jacobian_vp=lambda v: v)
     # (2 zeta / ||r||) * J^T A^T r with r = 2, J = A = 1
     assert g[0] == pytest.approx(2.0, rel=1e-12)
 
@@ -257,7 +267,7 @@ def test_dps_matches_fd_of_objective():
         return float(r @ r)
 
     jvp = make_tweedie_jacobian_vp(prior, ab, x)
-    g = guidance_gradient_dps(x, score, sched, t, meas, zeta=1.0, jacobian_vp=jvp)
+    g = guidance_gradient_dps(x, score, ab, meas, zeta=1.0, jacobian_vp=jvp)
     r0 = meas.y - a @ tweedie_mean(x, score, ab)
     eps = 1e-6
     fd = np.zeros(2)
@@ -278,9 +288,8 @@ def test_pigdm_scalar_closed_form():
     score = smoothed_score(prior, x, ab)
     meas = MeasurementModel(a=0.6 * np.eye(1), y=np.array([1.1]), sigma=0.2, x_star=np.zeros(1))
     jvp = make_tweedie_jacobian_vp(prior, ab, x)
-    g, report = guidance_gradient_pigdm(x, score, sched, t, meas, jvp)
-    sq = snr_sigma_sq(sched, t)
-    rt2 = sq / (1 + sq)
+    g, report = guidance_gradient_pigdm(x, score, ab, meas, jvp)
+    rt2 = 1 - ab
     x0 = tweedie_mean(x, score, ab)
     # one unit Gaussian: H = -I, so J = (1 + (1 - ab) H) / sqrt(ab) = sqrt(ab)
     expect = np.sqrt(ab) * 0.6 * (meas.y[0] - 0.6 * x0[0]) / (meas.sigma**2 + rt2 * 0.36)
@@ -301,9 +310,9 @@ def test_pigdm_reduction_from_cadps():
     x = np.array([1.2, -0.4])
     score = smoothed_score(prior, x, ab)
     g_cadps, _ = guidance_gradient_cadps(
-        x, score, sched, t, meas, lambda z: smoothed_score(prior, z, ab)
+        x, score, ab, meas, lambda z: smoothed_score(prior, z, ab)
     )
-    g_pigdm, _ = guidance_gradient_pigdm(x, score, sched, t, meas, lambda v: np.sqrt(ab) * v)
+    g_pigdm, _ = guidance_gradient_pigdm(x, score, ab, meas, lambda v: np.sqrt(ab) * v)
     assert np.allclose(g_cadps, g_pigdm, rtol=1e-9, atol=1e-12)
 
 
@@ -357,7 +366,7 @@ def test_cadps_directional_zero_row_of_a(monkeypatch):
     monkeypatch.setattr(guidance, "_clip_psd", spy)
     for xs, ss in ((x, score), (x[0], score[0])):  # a batch and a single (d,) state
         calls.clear()
-        g, report = guidance_gradient_cadps(xs, ss, sched, t, meas, score_fn)
+        g, report = guidance_gradient_cadps(xs, ss, ab, meas, score_fn)
         assert calls == [xs.shape, xs.shape]
         assert np.all(grams[-1][..., 1, :] == 0.0) and np.all(grams[-1][..., :, 1] == 0.0)
         assert np.all(np.isfinite(g)) and report.converged
@@ -392,7 +401,7 @@ def test_pigdm_batched_matches_dense_solve():
     a = rng.standard_normal((4, 8))
     meas = MeasurementModel(a=a, y=rng.standard_normal(4), sigma=0.2, x_star=np.zeros(8))
     jvp = make_tweedie_jacobian_vp(prior, ab, x)
-    g, report = guidance_gradient_pigdm(x, score, sched, t, meas, jacobian_vp=jvp)
+    g, report = guidance_gradient_pigdm(x, score, ab, meas, jacobian_vp=jvp)
     assert report.converged
     gram = meas.sigma**2 * np.eye(4) + (1 - ab) * a @ a.T
     for i in range(5):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cadps import ExperimentGrid, GuidanceMethod, emit_results, emit_scatter, run_cell
+from cadps import ExperimentGrid, GuidanceMethod, emit_results, emit_scatter, harness, run_cell
 from cadps.cli import main as cli_main
 from cadps.harness import (
     ExperimentRecord,
@@ -255,6 +255,30 @@ def test_config_rejects_unknown_method_keys(tmp_path):
     cfg_path.write_text(json.dumps({"methods": ["dps", {"tag": "cadps", "curvature": "fd-diag"}]}))
     with pytest.raises(ValueError, match="unknown method keys: curvature"):
         load_grid_from_json(cfg_path)
+
+
+@pytest.mark.parametrize(
+    "method, match",
+    [
+        ({"tag": "pigdm", "zeta": 3}, "DPS setting"),
+        ({"tag": "dps", "zeta": float("nan")}, "positive"),
+    ],
+    ids=["pigdm-zeta", "dps-nan-zeta"],
+)
+def test_config_rejects_zeta_without_effect(tmp_path, method, match):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"methods": ["cadps", method]}))
+    with pytest.raises(ValueError, match=match):
+        load_grid_from_json(cfg_path)
+
+
+@pytest.mark.parametrize("bad", [(8, 1, 0.0), (7, 1, 0.1), (2, 4, 0.1), (0, 1, 0.1), (8, 0, 0.1)])
+def test_grid_checks_every_cell_before_running(bad, monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "run_model", lambda *a, **kw: calls.append(a))
+    with pytest.raises(ValueError, match=rf"\(d={bad[0]}, m={bad[1]}, sigma={bad[2]}\)"):
+        run_grid(_tiny_grid(), 0, cells=[(8, 1, 0.1), (80, 2, 0.1), bad])
+    assert calls == []
 
 
 def test_config_keys_are_grid_fields(tmp_path):

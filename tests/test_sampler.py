@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cadps import (
     ChainConfig,
@@ -12,7 +14,7 @@ from cadps import (
 from cadps import sampler
 from cadps.gmm import GaussianMixture
 from cadps.measurement import MeasurementModel
-from cadps.sampler import _GUIDANCE_AB_MIN, reverse_step_unconditional
+from cadps.sampler import _GUIDANCE_AB_MIN, reverse_step
 from cadps.schedule import NoiseSchedule
 
 
@@ -31,8 +33,8 @@ def _unguided_chains(prior, sched, n, seed, tag="dps"):
 def test_reverse_step_zero_beta_is_noop():
     sched = build_linear_vp_schedule(4, 1e-6, 1e-6)
     x = np.array([1.0, -2.0])
-    rng = np.random.default_rng(0)
-    out = reverse_step_unconditional(x, np.zeros(2), sched, 3, rng)
+    z = np.random.default_rng(0).standard_normal(2)
+    out = reverse_step(x, np.zeros(2), sched, 3, z)
     assert np.allclose(out, x, atol=2e-3)
 
 
@@ -40,9 +42,35 @@ def test_reverse_step_final_is_deterministic():
     sched = build_linear_vp_schedule(100, 0.1, 500.0)
     x = np.array([0.5])
     s = np.array([-0.5])
-    a = reverse_step_unconditional(x, s, sched, 1, np.random.default_rng(1))
-    b = reverse_step_unconditional(x, s, sched, 1, np.random.default_rng(2))
+    a = reverse_step(x, s, sched, 1, np.random.default_rng(1).standard_normal(1))
+    b = reverse_step(x, s, sched, 1, np.random.default_rng(2).standard_normal(1))
     assert np.array_equal(a, b)
+
+
+@given(
+    n_steps=st.integers(2, 2000),
+    beta_max=st.floats(0.1, 500.0),
+    d=st.integers(1, 8),
+    log_scales=st.tuples(*3 * [st.floats(-3.0, 3.0)]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_posterior_score_step_adds_weighted_gradient(
+    n_steps, beta_max, d, log_scales, seed, data
+):
+    # stepping with score + g adds beta_t sqrt(ab_prev / ab) g to the
+    # prior-only step, on every step the sampler runs
+    sched = build_linear_vp_schedule(n_steps, 0.1, beta_max)
+    t0 = int(np.flatnonzero(sched.alpha_bar >= _GUIDANCE_AB_MIN)[-1]) + 1
+    t = data.draw(st.integers(1, t0))
+    rng = np.random.default_rng(seed)
+    x, s, g = rng.standard_normal((3, d)) * 10.0 ** np.array(log_scales)[:, None]
+    z = rng.standard_normal(d)
+    weight = sched.beta_t(t) * np.sqrt(sched.alpha_bar_prev(t) / sched.alpha_bar_t(t))
+    step = reverse_step(x, s + g, sched, t, z)
+    expect = reverse_step(x, s, sched, t, z) + weight * g
+    scale = max(np.max(np.abs(x)), np.max(np.abs(s)), np.max(np.abs(g)))
+    assert np.max(np.abs(step - expect)) <= 1e-10 * scale
 
 
 def test_unconditional_chain_recovers_gaussian_prior():
@@ -152,9 +180,9 @@ def test_guidance_skipped_below_alpha_bar_floor(tag, monkeypatch):
     seen = []
     original = getattr(sampler, f"guidance_gradient_{tag}")
 
-    def counting(x_t, score, schedule, t, *args, **kwargs):
-        seen.append(schedule.alpha_bar_t(t))
-        return original(x_t, score, schedule, t, *args, **kwargs)
+    def counting(x_t, score, ab, *args, **kwargs):
+        seen.append(ab)
+        return original(x_t, score, ab, *args, **kwargs)
 
     monkeypatch.setattr(sampler, f"guidance_gradient_{tag}", counting)
     prior = _single_gaussian(2)
@@ -211,7 +239,7 @@ def _unconditional_from(prior, sched, n, seed, t_start):
     x = rng.standard_normal((n, prior.dim))
     for t in range(t_start, 0, -1):
         score = smoothed_score(prior, x, sched.alpha_bar_t(t))
-        x = reverse_step_unconditional(x, score, sched, t, rng)
+        x = reverse_step(x, score, sched, t, rng.standard_normal(x.shape))
     return x
 
 

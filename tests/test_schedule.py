@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cadps import build_linear_vp_schedule, snr_sigma_sq
+from cadps import build_linear_vp_schedule
 
 
 def test_toy_parameters_reach_pure_noise():
@@ -71,20 +71,6 @@ def test_invalid_parameters_rejected():
         build_linear_vp_schedule(10, -0.1, 500.0)
     with pytest.raises(ValueError):
         build_linear_vp_schedule(10, 2.0, 1.0)
-
-
-def test_snr_sigma_sq_values():
-    sched = build_linear_vp_schedule(100, 0.1, 500.0)
-    for t in (1, 5, 50, 100):
-        ab = sched.alpha_bar_t(t)
-        assert snr_sigma_sq(sched, t) == pytest.approx((1 - ab) / ab, rel=1e-12)
-        # r_t^2 = sq/(1+sq) = 1 - alpha_bar
-        sq = snr_sigma_sq(sched, t)
-        assert sq / (1 + sq) == pytest.approx(1 - ab, rel=1e-9)
-    with pytest.raises(IndexError):
-        snr_sigma_sq(sched, 0)
-    with pytest.raises(IndexError):
-        snr_sigma_sq(sched, 101)
 
 
 def test_snr_closed_cases():
