@@ -1,8 +1,9 @@
 """Command-line entry point for the experiment harness.
 
-Flags override the JSON config; exit code 0 only if no cell was flagged
-invalid (> 10% aborted chains).  An invalid setting, such as a zero
-count, raises ValueError.
+The flags set ExperimentGrid fields (--smoke first swaps in the desk-scale
+defaults); exit code 0 only if no cell was flagged invalid (> 10% aborted
+chains).  An invalid setting, such as a zero count, a repeated method or
+--zeta without DPS, raises ValueError before any cell runs.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .guidance import METHOD_TAGS, GuidanceMethod
-from .harness import emit_results, load_grid_from_json, run_grid
+from .harness import ExperimentGrid, emit_results, run_grid
 
 # integer flags, each setting the ExperimentGrid field it is stored under
 _GRID_FLAGS = (
@@ -36,7 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cadps",
         description="Posterior-sampling benchmark on the Gaussian-mixture toy dataset",
     )
-    p.add_argument("--config", type=Path, help="JSON run configuration")
     p.add_argument(
         "--cell",
         type=_parse_cell,
@@ -44,9 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="d,m,sigma",
         help="restrict the run to one or more cells",
     )
-    p.add_argument("--methods", nargs="+", choices=METHOD_TAGS)
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--out", type=Path, help="output directory")
+    p.add_argument("--methods", nargs="+", choices=METHOD_TAGS, default=METHOD_TAGS)
+    p.add_argument("--seed", type=int, default=0, help="master seed")
+    p.add_argument("--out", type=Path, default=Path("results"), help="output directory")
     for flag, dest, text in _GRID_FLAGS:
         p.add_argument(flag, type=int, dest=dest, help=text)
     p.add_argument("--zeta", type=float, help="DPS guidance strength")
@@ -61,32 +61,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    grid, master_seed, out_dir = load_grid_from_json(args.config)
-    if args.smoke:
-        grid = grid.smoke()
-    overrides = {k: v for _, k, _ in _GRID_FLAGS if (v := getattr(args, k)) is not None}
-    if args.methods:
-        overrides["methods"] = tuple(GuidanceMethod(tag=m) for m in args.methods)
-    if args.no_timing:
-        overrides["record_timing"] = False
-    grid = replace(grid, **overrides)
-    if args.zeta is not None:
-        grid = replace(
-            grid,
-            methods=tuple(
-                replace(m, zeta=args.zeta) if m.tag == "dps" else m for m in grid.methods
-            ),
-        )
-    if args.seed is not None:
-        master_seed = args.seed
-    if args.out is not None:
-        out_dir = args.out
+    if args.zeta is not None and "dps" not in args.methods:
+        raise ValueError("--zeta is the DPS strength, but dps is not among the methods")
+    dps = {} if args.zeta is None else {"zeta": args.zeta}
+    methods = tuple(GuidanceMethod(tag=t, **(dps if t == "dps" else {})) for t in args.methods)
+    grid = ExperimentGrid().smoke() if args.smoke else ExperimentGrid()
+    counts = {k: v for _, k, _ in _GRID_FLAGS if (v := getattr(args, k)) is not None}
+    grid = replace(grid, methods=methods, record_timing=not args.no_timing, **counts)
 
-    records, all_valid = run_grid(grid, master_seed, cells=args.cell)
-    out = Path(out_dir)
-    emit_results(records, "csv", out / "records.csv")
-    emit_results(records, "jsonl", out / "records.jsonl")
-    print(f"wrote {len(records)} records to {out}/records.csv (+summary, +jsonl)")
+    records, all_valid = run_grid(grid, args.seed, cells=args.cell)
+    emit_results(records, "csv", args.out / "records.csv")
+    emit_results(records, "jsonl", args.out / "records.jsonl")
+    print(f"wrote {len(records)} records to {args.out}/records.csv (+summary, +jsonl)")
     if not all_valid:
         print("warning: at least one cell exceeded the 10% chain-abort budget", file=sys.stderr)
         return 1

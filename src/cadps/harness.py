@@ -4,8 +4,7 @@ Builds the (d, m, sigma) grid, runs every guidance method over repeated
 random measurement models with many chains each, scores the samples
 against exact-posterior references with the sliced-Wasserstein distance
 SW_2, and emits machine-readable tables.  ExperimentGrid holds every run
-setting and its default; the config file and the CLI flags set its fields
-by name.
+setting and its default; the CLI flags set its fields by name.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,6 @@ __all__ = [
     "run_grid",
     "emit_results",
     "emit_scatter",
-    "load_grid_from_json",
 ]
 
 RESULT_COLUMNS = ["d", "m", "sigma", "method", "model_seed", "sw", "cg_failures", "wall_ms"]
@@ -57,8 +55,6 @@ class ExperimentGrid:
         default_factory=lambda: tuple(GuidanceMethod(tag=t) for t in METHOD_TAGS)
     )
     n_steps: int = 1000
-    beta_min: float = 0.1
-    beta_max: float = 500.0
     n_slices: int = 10_000
     record_timing: bool = True
 
@@ -67,12 +63,15 @@ class ExperimentGrid:
             raise ValueError("grid sets must be nonempty")
         if min(self.models_per_cell, self.chains_per_model, self.n_slices) < 1:
             raise ValueError("counts must be positive")
+        tags = [m.tag for m in self.methods]
+        if len(set(tags)) < len(tags):
+            raise ValueError(f"each method tag may appear once, got {tags}")
 
     def smoke(self) -> "ExperimentGrid":
         """Desk-scale defaults: minutes on one workstation."""
         return replace(
             self,
-            dims=tuple(d for d in self.dims if d in (8, 80)) or (8, 80),
+            dims=(8, 80),
             models_per_cell=5,
             chains_per_model=200,
             n_slices=1000,
@@ -116,7 +115,7 @@ def run_model(
     ``samples`` maps method tag -> (n, d) array when keep_samples is set
     (the reference set is under the key "reference").
     """
-    schedule = build_linear_vp_schedule(grid.n_steps, grid.beta_min, grid.beta_max)
+    schedule = build_linear_vp_schedule(grid.n_steps)
     prior = build_toy_prior(d)
     a = generate_measurement_matrix(
         d, m, np.random.default_rng(_seed(master_seed, d, m, sigma, model_index, _STREAM_MATRIX))
@@ -304,38 +303,3 @@ def emit_scatter(samples: np.ndarray, reference: np.ndarray, path) -> Path:
         for row in reference:
             writer.writerow(["reference", _fmt(float(row[0])), _fmt(float(row[1]))])
     return path
-
-
-def load_grid_from_json(path=None) -> tuple[ExperimentGrid, int, str]:
-    """Read a run configuration file; returns (grid, master_seed, out_dir).
-
-    The keys are master_seed, out_dir and ExperimentGrid field names;
-    an unknown key raises ValueError.  Methods are tags or GuidanceMethod
-    keyword dicts, whose unknown keys raise ValueError too.  Absent keys,
-    or no path at all, keep the defaults.
-    """
-    cfg = {}
-    if path is not None:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    master_seed = int(cfg.pop("master_seed", 0))
-    out_dir = cfg.pop("out_dir", "results")
-    unknown = sorted(set(cfg) - {f.name for f in fields(ExperimentGrid)})
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    for key in ("dims", "ms", "sigmas"):
-        if key in cfg:
-            cfg[key] = tuple(cfg[key])
-    if "methods" in cfg:
-        cfg["methods"] = tuple(_method_from_config(e) for e in cfg["methods"])
-    return ExperimentGrid(**cfg), master_seed, out_dir
-
-
-def _method_from_config(entry) -> GuidanceMethod:
-    """A GuidanceMethod from a tag or a keyword dict; unknown keys raise ValueError."""
-    if isinstance(entry, str):
-        return GuidanceMethod(tag=entry)
-    unknown = sorted(set(entry) - {f.name for f in fields(GuidanceMethod)})
-    if unknown:
-        raise ValueError(f"unknown method keys: {', '.join(unknown)}")
-    return GuidanceMethod(**entry)

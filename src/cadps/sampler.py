@@ -109,9 +109,9 @@ def run_guided_chains(
 
     for t in range(t0, 0, -1):
         ab = schedule.alpha_bar_t(t)
-        # flag runaway chains before they overflow downstream products
-        bad = ~np.all(np.isfinite(x), axis=1) | (np.max(np.abs(x), axis=1) > 1e10)
-        aborted |= bad
+        # flag runaway chains before they overflow downstream products; the
+        # comparison is False for NaN and inf, so this also flags those
+        aborted |= ~np.all(np.abs(x) <= 1e10, axis=1)
         x_safe = np.where(aborted[:, None], 0.0, x)
         score = smoothed_score(prior, x_safe, ab)
         # drawn every step, also where sigma_tilde = 0 or the final draw
@@ -150,10 +150,9 @@ def run_guided_chains(
             x = reverse_step(x_safe, score + grad, schedule, t, z)
         if report is not None and not report.converged:
             cg_failures += 1
-        bad = ~np.all(np.isfinite(x), axis=1)
-        aborted |= bad
-        x = np.where(aborted[:, None], np.nan, x)
 
+    aborted |= ~np.all(np.isfinite(x), axis=1)
+    x[aborted] = np.nan
     return x, ChainDiagnostics(aborted=aborted, cg_failures=cg_failures)
 
 

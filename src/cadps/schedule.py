@@ -7,7 +7,7 @@ to n_steps (near-pure noise).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,12 +52,12 @@ class NoiseSchedule:
 
 
 def build_linear_vp_schedule(
-    n_steps: int, beta_min: float, beta_max: float
+    n_steps: int, beta_min: float = 0.1, beta_max: float = 500.0
 ) -> NoiseSchedule:
     """Build the linear VP schedule beta_i = min(beta(i/N)/N, 0.999).
 
     The 0.999 cap keeps alpha_i > 0 so alpha_bar never degenerates to
-    exactly zero.
+    exactly zero.  The default beta range is the toy study's.
     """
     if n_steps < 2:
         raise ValueError(f"n_steps must be >= 2, got {n_steps}")

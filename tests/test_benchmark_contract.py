@@ -102,7 +102,7 @@ def test_final_draw_span_per_chain_run(monkeypatch):
     finally:
         tracer.restore()
     assert sampler.sample_final_conditional is guidance.sample_final_conditional
-    sched = build_linear_vp_schedule(grid.n_steps, grid.beta_min, grid.beta_max)
+    sched = build_linear_vp_schedule(grid.n_steps)
     t0 = int(np.flatnonzero(sched.alpha_bar >= sampler._GUIDANCE_AB_MIN)[-1]) + 1
     runs = [s for s in tracer.spans if s.name == "sampler.run_guided_chains"]
     assert sorted(r.method for r in runs) == sorted(m.tag for m in grid.methods)

@@ -1,14 +1,15 @@
 import json
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cadps import ExperimentGrid, GuidanceMethod, emit_results, emit_scatter, harness, run_cell
-from cadps.cli import main as cli_main
+from cadps.cli import build_parser, main as cli_main
 from cadps.harness import (
     ExperimentRecord,
-    load_grid_from_json,
     parse_results_csv,
     run_grid,
     run_model,
@@ -164,27 +165,6 @@ def test_cli_determinism(tmp_path):
     assert (tmp_path / "a/records.csv").read_bytes() == (tmp_path / "b/records.csv").read_bytes()
 
 
-def test_cli_config_file(tmp_path):
-    cfg = {
-        "dims": [8],
-        "ms": [1],
-        "sigmas": [1.0],
-        "models_per_cell": 1,
-        "chains_per_model": 20,
-        "n_steps": 30,
-        "n_slices": 50,
-        "master_seed": 1,
-        "out_dir": str(tmp_path / "out"),
-        "methods": ["dps"],
-    }
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps(cfg))
-    rc = cli_main(["--config", str(cfg_path), "--no-timing"])
-    assert rc == 0
-    records = parse_results_csv(tmp_path / "out/records.csv")
-    assert {r.method for r in records} == {"dps"}
-
-
 def test_run_model_chain_seed_follows_method_tag():
     grid = _tiny_grid()
     all_methods, *_ = run_model(8, 1, 1.0, grid, 0, 0)
@@ -211,65 +191,10 @@ def test_cli_zeta_sets_default_dps(tmp_path):
     assert zeta["pigdm"] == base["pigdm"]
 
 
-def test_cli_zeta_sets_config_dps(tmp_path):
-    cfg = {
-        "dims": [8],
-        "ms": [1],
-        "sigmas": [0.1],
-        "models_per_cell": 1,
-        "chains_per_model": 20,
-        "n_steps": 30,
-        "n_slices": 50,
-        "methods": [{"tag": "dps", "zeta": 1.0}],
-    }
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps(cfg))
-    args = ["--config", str(cfg_path), "--no-timing", "--out"]
-    cli_main(args + [str(tmp_path / "base")])
-    cli_main(args + [str(tmp_path / "zeta"), "--zeta", "0.3"])
-    base = parse_results_csv(tmp_path / "base/records.csv")
-    zeta = parse_results_csv(tmp_path / "zeta/records.csv")
-    assert [r.sw for r in zeta] != [r.sw for r in base]
-
-
 @pytest.mark.parametrize("field", ["models_per_cell", "chains_per_model", "n_slices"])
 def test_grid_rejects_zero_counts(field):
     with pytest.raises(ValueError):
         ExperimentGrid(**{field: 0})
-
-
-def test_config_rejects_unknown_keys(tmp_path):
-    # typos of chains_per_model and n_slices, and the removed sw_order
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps({"chains": 10, "n_slice": 5, "sw_order": 1, "n_steps": 30}))
-    with pytest.raises(ValueError, match="chains, n_slice, sw_order"):
-        load_grid_from_json(cfg_path)
-    with pytest.raises(ValueError, match="unknown config keys"):
-        cli_main(["--config", str(cfg_path), "--out", str(tmp_path / "out")])
-    assert not (tmp_path / "out").exists()
-
-
-def test_config_rejects_unknown_method_keys(tmp_path):
-    # curvature selected the removed fd-diag CA-DPS mode
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps({"methods": ["dps", {"tag": "cadps", "curvature": "fd-diag"}]}))
-    with pytest.raises(ValueError, match="unknown method keys: curvature"):
-        load_grid_from_json(cfg_path)
-
-
-@pytest.mark.parametrize(
-    "method, match",
-    [
-        ({"tag": "pigdm", "zeta": 3}, "DPS setting"),
-        ({"tag": "dps", "zeta": float("nan")}, "positive"),
-    ],
-    ids=["pigdm-zeta", "dps-nan-zeta"],
-)
-def test_config_rejects_zeta_without_effect(tmp_path, method, match):
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps({"methods": ["cadps", method]}))
-    with pytest.raises(ValueError, match=match):
-        load_grid_from_json(cfg_path)
 
 
 @pytest.mark.parametrize("bad", [(8, 1, 0.0), (7, 1, 0.1), (2, 4, 0.1), (0, 1, 0.1), (8, 0, 0.1)])
@@ -281,24 +206,6 @@ def test_grid_checks_every_cell_before_running(bad, monkeypatch):
     assert calls == []
 
 
-def test_config_keys_are_grid_fields(tmp_path):
-    cfg = {"dims": [8], "sigmas": [0.1], "n_slices": 7, "record_timing": False}
-    cfg["methods"] = ["pigdm", {"tag": "dps", "zeta": 0.5}]
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps(cfg))
-    grid, seed, out_dir = load_grid_from_json(cfg_path)
-    assert (seed, out_dir) == (0, "results")
-    assert grid == replace(
-        ExperimentGrid(),
-        dims=(8,),
-        sigmas=(0.1,),
-        n_slices=7,
-        record_timing=False,
-        methods=(GuidanceMethod(tag="pigdm"), GuidanceMethod(tag="dps", zeta=0.5)),
-    )
-    assert load_grid_from_json() == (ExperimentGrid(), 0, "results")
-
-
 @pytest.mark.parametrize("flag", ["--chains", "--models", "--slices", "--steps"])
 def test_cli_zero_count_flag_rejected(tmp_path, flag):
     counts = {"--chains": "20", "--models": "1", "--slices": "50", "--steps": "30"}
@@ -307,3 +214,32 @@ def test_cli_zero_count_flag_rejected(tmp_path, flag):
     with pytest.raises(ValueError):
         cli_main(args + [a for kv in counts.items() for a in kv])
     assert not (tmp_path / "records.csv").exists()
+
+
+def test_duplicate_method_tags_rejected(tmp_path):
+    # a repeated tag would run on the same chain seed stream and write every record twice
+    with pytest.raises(ValueError, match="once"):
+        _tiny_grid(methods=(GuidanceMethod(tag="dps"), GuidanceMethod(tag="dps", zeta=0.5)))
+    args = ["--cell", "8,1,0.1", "--models", "2", "--chains", "20", "--steps", "30"]
+    args += ["--slices", "50", "--methods", "dps", "dps", "--out", str(tmp_path / "out")]
+    with pytest.raises(ValueError, match="once"):
+        cli_main(args)
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_zeta_without_dps_rejected(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "run_model", lambda *a, **kw: calls.append(a))
+    args = ["--cell", "8,1,0.1", "--methods", "cadps", "pigdm", "--zeta", "0.3"]
+    with pytest.raises(ValueError, match="--zeta"):
+        cli_main(args + ["--out", str(tmp_path / "out")])
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_flags_match_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme.split("\nFlags:", 1)[1].split("\n\n", 1)[0]
+    named = set(re.findall(r"--[a-z][a-z-]*", paragraph))
+    options = {o for a in build_parser()._actions for o in a.option_strings if o.startswith("--")}
+    assert named == options - {"--help"}
