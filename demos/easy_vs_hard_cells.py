@@ -9,13 +9,13 @@ desk scale (5 models x 200 chains x 200 steps) in about a minute.
 
 import numpy as np
 
-from cadps import ExperimentGrid, run_cell
+from cadps import ExperimentGrid, run_grid
 
 
 def main():
     grid = ExperimentGrid().smoke()
     for d, m, sigma in ((8, 4, 0.01), (80, 1, 0.1)):
-        records, valid = run_cell(d, m, sigma, grid, master_seed=0)
+        records, valid = run_grid(grid, 0, cells=[(d, m, sigma)])
         print(f"cell d={d} m={m} sigma={sigma}  (valid={valid})")
         for tag in ("cadps", "dps", "pigdm"):
             sw = [r.sw for r in records if r.method == tag]

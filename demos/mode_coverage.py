@@ -5,7 +5,7 @@ many posterior modes alive.  This script pools samples over 5 random
 measurement models, counts the lattice cells (nearest lattice point on
 the first two coordinates) that hold at least 1% of the samples for each
 method, and writes a scatter CSV of the covariance-aware samples against
-the exact posterior reference for plotting.
+the exact posterior reference to results/mode_coverage.csv for plotting.
 """
 
 import numpy as np
@@ -33,8 +33,10 @@ def main():
     for tag in ("reference", "cadps", "dps", "pigdm"):
         print(f"  {tag:>9}: {n_covered(pooled[tag])}")
 
-    emit_scatter(pooled["cadps"][:, :2], pooled["reference"][:, :2], "mode_coverage.csv")
-    print("wrote mode_coverage.csv (blocks: samples = cadps, reference = exact posterior)")
+    path = emit_scatter(
+        pooled["cadps"][:, :2], pooled["reference"][:, :2], "results/mode_coverage.csv"
+    )
+    print(f"wrote {path} (blocks: samples = cadps, reference = exact posterior)")
 
 
 if __name__ == "__main__":

@@ -48,7 +48,6 @@ from .harness import (
     ExperimentRecord,
     emit_results,
     emit_scatter,
-    run_cell,
     run_grid,
 )
 

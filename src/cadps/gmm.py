@@ -39,16 +39,19 @@ class GaussianMixture:
     log_weights are kept normalized (logsumexp == 0).
     """
 
-    dim: int
     means: np.ndarray  # (K, d)
     log_weights: np.ndarray  # (K,)
     cov: float | np.ndarray = 1.0
 
     def __post_init__(self):
-        if self.means.shape != (self.log_weights.shape[0], self.dim):
-            raise ValueError("means/log_weights shape mismatch")
+        if self.means.ndim != 2 or self.means.shape[0] != self.log_weights.shape[0]:
+            raise ValueError("means must be (K, d), one row per log-weight")
         if not np.all(np.isfinite(self.means)):
             raise ValueError("non-finite component means")
+
+    @property
+    def dim(self) -> int:
+        return self.means.shape[1]
 
     @property
     def n_components(self) -> int:
@@ -79,7 +82,7 @@ def build_toy_prior(d: int) -> GaussianMixture:
         [np.tile([8.0 * i, 8.0 * j], d // 2) for i, j in TOY_LATTICE]
     )
     log_w = _normalize_log_weights(np.zeros(len(TOY_LATTICE)))
-    return GaussianMixture(dim=d, means=means, log_weights=log_w, cov=1.0)
+    return GaussianMixture(means=means, log_weights=log_w, cov=1.0)
 
 
 def _require_unit_variance(prior: GaussianMixture) -> None:
@@ -210,9 +213,7 @@ def exact_posterior(prior: GaussianMixture, meas) -> GaussianMixture:
         - np.sum(np.log(np.diag(chol)))
         - 0.5 * m * np.log(2.0 * np.pi)
     )
-    return GaussianMixture(
-        dim=d, means=means, log_weights=_normalize_log_weights(log_w), cov=cov
-    )
+    return GaussianMixture(means=means, log_weights=_normalize_log_weights(log_w), cov=cov)
 
 
 def sample_mixture(

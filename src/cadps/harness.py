@@ -12,8 +12,9 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -27,13 +28,11 @@ from .schedule import build_linear_vp_schedule
 __all__ = [
     "ExperimentGrid",
     "ExperimentRecord",
-    "run_cell",
     "run_grid",
     "emit_results",
     "emit_scatter",
 ]
 
-RESULT_COLUMNS = ["d", "m", "sigma", "method", "model_seed", "sw", "cg_failures", "wall_ms"]
 SUMMARY_COLUMNS = ["d", "m", "sigma", "method", "sw_mean", "sw_ci95"]
 
 # stream labels for per-model seed derivation
@@ -94,10 +93,12 @@ class ExperimentRecord:
         return (self.d, self.m, self.sigma, self.method, self.model_seed)
 
 
-def _seed(master_seed: int, d: int, m: int, sigma: float, model: int, stream: int):
-    return np.random.SeedSequence(
-        (int(master_seed), int(d), int(m), int(round(sigma * 1_000_000)), int(model), int(stream))
-    )
+RESULT_COLUMNS = [f.name for f in fields(ExperimentRecord)]
+
+
+def _cell_key(d: int, m: int, sigma: float):
+    """The cell's part of every seed: two cells with one key share all streams."""
+    return int(d), int(m), int(round(sigma * 1_000_000))
 
 
 def run_model(
@@ -115,41 +116,28 @@ def run_model(
     ``samples`` maps method tag -> (n, d) array when keep_samples is set
     (the reference set is under the key "reference").
     """
+    entropy = (int(master_seed), *_cell_key(d, m, sigma), int(model_index))
+
+    def rng(stream: int) -> np.random.Generator:
+        return np.random.default_rng(np.random.SeedSequence((*entropy, stream)))
+
     schedule = build_linear_vp_schedule(grid.n_steps)
     prior = build_toy_prior(d)
-    a = generate_measurement_matrix(
-        d, m, np.random.default_rng(_seed(master_seed, d, m, sigma, model_index, _STREAM_MATRIX))
-    )
-    meas = generate_observation(
-        a,
-        prior,
-        sigma,
-        np.random.default_rng(_seed(master_seed, d, m, sigma, model_index, _STREAM_OBSERVATION)),
-    )
+    a = generate_measurement_matrix(d, m, rng(_STREAM_MATRIX))
+    meas = generate_observation(a, prior, sigma, rng(_STREAM_OBSERVATION))
     posterior = exact_posterior(prior, meas)
-    reference = sample_mixture(
-        posterior,
-        grid.chains_per_model,
-        np.random.default_rng(_seed(master_seed, d, m, sigma, model_index, _STREAM_REFERENCE)),
-    )
-    directions = draw_slice_directions(
-        d,
-        grid.n_slices,
-        np.random.default_rng(_seed(master_seed, d, m, sigma, model_index, _STREAM_SLICES)),
-    )
+    reference = sample_mixture(posterior, grid.chains_per_model, rng(_STREAM_REFERENCE))
+    directions = draw_slice_directions(d, grid.n_slices, rng(_STREAM_SLICES))
 
     records = []
     samples_out = {"reference": reference} if keep_samples else {}
     total = aborted = 0
     for method in grid.methods:
         t0 = time.perf_counter()
-        stream = _STREAM_CHAINS + METHOD_TAGS.index(method.tag)
         cfg = ChainConfig(
             schedule=schedule,
             method=method,
-            rng_seed=np.random.default_rng(
-                _seed(master_seed, d, m, sigma, model_index, stream)
-            ),
+            rng_seed=rng(_STREAM_CHAINS + METHOD_TAGS.index(method.tag)),
             n_chains=grid.chains_per_model,
         )
         chains, diags = run_guided_chains(prior, meas, cfg)
@@ -179,41 +167,37 @@ def run_model(
     return records, total, aborted, samples_out
 
 
-def run_cell(d: int, m: int, sigma: float, grid: ExperimentGrid, master_seed: int):
-    """All models and methods of one grid cell.
-
-    Returns (records, cell_valid); a cell with > 10% aborted chains is
-    flagged invalid.
-    """
-    records = []
-    total = aborted = 0
-    for model_index in range(grid.models_per_cell):
-        recs, tot, ab, _ = run_model(d, m, sigma, grid, master_seed, model_index)
-        records.extend(recs)
-        total += tot
-        aborted += ab
-    return records, aborted <= 0.10 * total
-
-
 def run_grid(grid: ExperimentGrid, master_seed: int, cells=None):
-    """Run every cell (or the given (d, m, sigma) subset); returns
-    (sorted records, all_cells_valid)."""
+    """Run all models and methods of every cell (or of the given
+    (d, m, sigma) list); returns (records, all_cells_valid).
+
+    A cell with > 10% aborted chains is flagged invalid.
+    """
     if cells is None:
         cells = [(d, m, s) for d in grid.dims for m in grid.ms for s in grid.sigmas]
     # records are written only at the end, so a bad cell must not wait its turn
+    keys = set()
     for d, m, sigma in cells:
         if d < 2 or d % 2 or not 1 <= m <= d or not sigma > 0:
             raise ValueError(
                 f"invalid cell (d={d}, m={m}, sigma={sigma}): "
                 "need d even and >= 2, 1 <= m <= d and sigma > 0"
             )
+        # a repeat would rerun the same seeds and write every record twice
+        key = _cell_key(d, m, sigma)
+        if key in keys:
+            raise ValueError(f"cell (d={d}, m={m}, sigma={sigma}) repeats an earlier cell")
+        keys.add(key)
     records = []
     all_valid = True
     for d, m, sigma in cells:
-        recs, valid = run_cell(d, m, sigma, grid, master_seed)
-        records.extend(recs)
-        all_valid &= valid
-    records.sort(key=ExperimentRecord.sort_key)
+        total = aborted = 0
+        for model_index in range(grid.models_per_cell):
+            recs, tot, ab, _ = run_model(d, m, sigma, grid, master_seed, model_index)
+            records.extend(recs)
+            total += tot
+            aborted += ab
+        all_valid &= aborted <= 0.10 * total
     return records, all_valid
 
 
@@ -224,7 +208,11 @@ def _fmt(v) -> str:
 
 
 def emit_results(records, format: str, path) -> Path:
-    """Write records as CSV or JSONL; CSV gets a companion summary file."""
+    """Write records as CSV or JSONL; CSV gets a companion summary file.
+
+    JSONL writes a non-finite SW (a model that lost every chain) as null,
+    since strict JSON has no NaN.
+    """
     if not records:
         raise ValueError("no records to emit")
     path = Path(path)
@@ -233,12 +221,10 @@ def emit_results(records, format: str, path) -> Path:
     if format == "jsonl":
         with open(path, "w") as fh:
             for r in records:
-                fh.write(
-                    json.dumps(
-                        {c: getattr(r, c) for c in RESULT_COLUMNS}, sort_keys=False
-                    )
-                    + "\n"
-                )
+                row = {c: getattr(r, c) for c in RESULT_COLUMNS}
+                if not np.isfinite(r.sw):
+                    row["sw"] = None
+                fh.write(json.dumps(row) + "\n")
         return path
     if format != "csv":
         raise ValueError(f"unknown format {format!r}")
@@ -266,25 +252,12 @@ def emit_results(records, format: str, path) -> Path:
 
 def parse_results_csv(path) -> list[ExperimentRecord]:
     """Inverse of emit_results(format="csv")."""
-    out = []
+    types = get_type_hints(ExperimentRecord)
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != RESULT_COLUMNS:
             raise ValueError(f"unexpected columns {reader.fieldnames}")
-        for row in reader:
-            out.append(
-                ExperimentRecord(
-                    d=int(row["d"]),
-                    m=int(row["m"]),
-                    sigma=float(row["sigma"]),
-                    method=row["method"],
-                    model_seed=int(row["model_seed"]),
-                    sw=float(row["sw"]),
-                    cg_failures=int(row["cg_failures"]),
-                    wall_ms=float(row["wall_ms"]),
-                )
-            )
-    return out
+        return [ExperimentRecord(**{c: types[c](v) for c, v in row.items()}) for row in reader]
 
 
 def emit_scatter(samples: np.ndarray, reference: np.ndarray, path) -> Path:

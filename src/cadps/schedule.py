@@ -1,13 +1,14 @@
 """Discrete variance-preserving diffusion noise schedule.
 
-All samplers and the Gaussian-mixture smoothing formulas share one
-schedule object.  Step indices are 1-based: t runs from 1 (least noisy)
-to n_steps (near-pure noise).
+The sampler reads every per-step table from one schedule object; the
+Gaussian-mixture smoothing formulas take alpha_bar as a number.  Step
+indices are 1-based: t runs from 1 (least noisy) to n_steps (near-pure
+noise).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,18 +17,36 @@ __all__ = ["NoiseSchedule", "build_linear_vp_schedule"]
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Per-step noise tables for an N-step reverse diffusion.
+    """Per-step noise tables for an N-step reverse diffusion, built from beta.
 
-    beta[i] and alpha_bar[i], the running product of 1 - beta, are
-    stored 0-based internally; use the accessors with 1-based t.
-    sigma_tilde holds the ancestral-step noise scales, with
-    sigma_tilde[0] = 0 so the final step is deterministic.
+    beta[i], alpha_bar[i] (the running product of 1 - beta) and
+    sigma_tilde[i] (the ancestral-step noise scales, with sigma_tilde[0] = 0
+    so the final step is deterministic) are stored 0-based; use the
+    accessors with 1-based t.  alpha_bar and sigma_tilde are derived from
+    beta once, when the schedule is built.
     """
 
-    n_steps: int
     beta: np.ndarray
-    alpha_bar: np.ndarray
-    sigma_tilde: np.ndarray
+    alpha_bar: np.ndarray = field(init=False)
+    sigma_tilde: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        beta = np.asarray(self.beta, dtype=np.float64)
+        # heavily capped schedules (small N with large beta_max) underflow the
+        # running product to exactly 0; floor it so 1/sqrt(alpha_bar) stays finite
+        alpha_bar = np.maximum(np.cumprod(1.0 - beta), 1e-250)
+        alpha_bar_prev = np.concatenate(([1.0], alpha_bar[:-1]))
+        # DDPM posterior-variance choice; the first entry is forced to zero so
+        # the returned x0 is the guided posterior mean.
+        sigma_tilde = np.sqrt(beta * (1.0 - alpha_bar_prev) / (1.0 - alpha_bar))
+        sigma_tilde[0] = 0.0
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "alpha_bar", alpha_bar)
+        object.__setattr__(self, "sigma_tilde", sigma_tilde)
+
+    @property
+    def n_steps(self) -> int:
+        return len(self.beta)
 
     def _check_t(self, t: int) -> None:
         if not 1 <= t <= self.n_steps:
@@ -66,20 +85,6 @@ def build_linear_vp_schedule(
             f"need 0 < beta_min <= beta_max, got ({beta_min}, {beta_max})"
         )
     i = np.arange(1, n_steps + 1, dtype=np.float64)
-    beta = np.minimum(
-        (beta_min + (i / n_steps) * (beta_max - beta_min)) / n_steps, 0.999
-    )
-    # heavily capped schedules (small N with large beta_max) underflow the
-    # running product to exactly 0; floor it so 1/sqrt(alpha_bar) stays finite
-    alpha_bar = np.maximum(np.cumprod(1.0 - beta), 1e-250)
-    alpha_bar_prev = np.concatenate(([1.0], alpha_bar[:-1]))
-    # DDPM posterior-variance choice; the first entry is forced to zero so
-    # the returned x0 is the guided posterior mean.
-    sigma_tilde = np.sqrt(beta * (1.0 - alpha_bar_prev) / (1.0 - alpha_bar))
-    sigma_tilde[0] = 0.0
     return NoiseSchedule(
-        n_steps=n_steps,
-        beta=beta,
-        alpha_bar=alpha_bar,
-        sigma_tilde=sigma_tilde,
+        np.minimum((beta_min + (i / n_steps) * (beta_max - beta_min)) / n_steps, 0.999)
     )

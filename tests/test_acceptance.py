@@ -167,7 +167,7 @@ def test_criterion_3_solver_suite(capsys):
 
 def test_criterion_4_scalar_posterior_recovery(capsys):
     t0 = time.time()
-    prior = GaussianMixture(dim=1, means=np.zeros((1, 1)), log_weights=np.zeros(1))
+    prior = GaussianMixture(means=np.zeros((1, 1)), log_weights=np.zeros(1))
     sched = build_linear_vp_schedule(200, 0.1, 500.0)
     sigma, y = 0.01, 0.7
     meas = MeasurementModel(a=np.eye(1), y=np.array([y]), sigma=sigma, x_star=np.zeros(1))

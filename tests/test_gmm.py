@@ -109,7 +109,7 @@ def test_matmul_kernel_matches_loop_form(d, ab):
 
 
 def _single_gaussian(d=1):
-    return GaussianMixture(dim=d, means=np.zeros((1, d)), log_weights=np.zeros(1))
+    return GaussianMixture(means=np.zeros((1, d)), log_weights=np.zeros(1))
 
 
 def test_toy_prior_lattice_d2():
@@ -130,6 +130,14 @@ def test_toy_prior_repetition_pattern():
 def test_toy_prior_rejects_odd_dim():
     with pytest.raises(ValueError):
         build_toy_prior(3)
+
+
+def test_mixture_width_comes_from_means():
+    assert GaussianMixture(means=np.zeros((3, 5)), log_weights=np.zeros(3)).dim == 5
+    with pytest.raises(ValueError, match="one row per log-weight"):
+        GaussianMixture(means=np.zeros(3), log_weights=np.zeros(3))
+    with pytest.raises(ValueError, match="one row per log-weight"):
+        GaussianMixture(means=np.zeros((2, 5)), log_weights=np.zeros(3))
 
 
 def test_score_single_component_is_minus_x():
@@ -301,7 +309,6 @@ def test_sample_mixture_moments():
 
 def test_sample_mixture_degenerate_weights():
     mix = GaussianMixture(
-        dim=2,
         means=np.array([[0.0, 0.0], [100.0, 100.0]]),
         log_weights=np.array([-np.inf, 0.0]),
     )

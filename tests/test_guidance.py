@@ -29,7 +29,7 @@ from cadps.measurement import MeasurementModel
 
 
 def _single_gaussian(d=1):
-    return GaussianMixture(dim=d, means=np.zeros((1, d)), log_weights=np.zeros(1))
+    return GaussianMixture(means=np.zeros((1, d)), log_weights=np.zeros(1))
 
 
 def _schedule():
@@ -115,6 +115,21 @@ def test_clip_psd_returns_positive_definite_batch_unchanged(monkeypatch):
     out = _clip_psd(g)
     assert calls == []
     assert np.array_equal(out, 0.5 * (g + np.swapaxes(g, -1, -2)))
+
+
+def test_clip_psd_trace_at_the_ceiling_is_its_edge(monkeypatch):
+    # trace exactly SIGMA_DIAG_CEIL passes the check: no eigh, block unchanged
+    half = 0.5 * SIGMA_DIAG_CEIL
+    g = np.stack([np.array([[half, 1.0], [1.0, half]]), np.eye(2)])
+    assert np.trace(g[0]) == SIGMA_DIAG_CEIL
+    calls = _spy_eigh(monkeypatch)
+    assert np.array_equal(_clip_psd(g), g)
+    assert calls == []
+    # one ulp above: positive definite, but only eigh can clip it to the ceiling
+    g = np.stack([np.diag([np.nextafter(SIGMA_DIAG_CEIL, np.inf), 1.0]), np.eye(2)])
+    out = _clip_psd(g)
+    assert calls == [g.shape]
+    assert np.array_equal(out, np.stack([np.diag([SIGMA_DIAG_CEIL, 1.0]), np.eye(2)]))
 
 
 def test_clip_psd_one_indefinite_block_clips_the_batch_by_eigh(monkeypatch):

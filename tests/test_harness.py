@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cadps import ExperimentGrid, GuidanceMethod, emit_results, emit_scatter, harness, run_cell
+from cadps import ExperimentGrid, GuidanceMethod, emit_results, emit_scatter, harness
 from cadps.cli import build_parser, main as cli_main
 from cadps.harness import (
     ExperimentRecord,
@@ -33,7 +33,7 @@ def _tiny_grid(**kw):
 
 def test_smoke_cell_plumbing():
     grid = _tiny_grid(chains_per_model=100)
-    records, valid = run_cell(8, 1, 1.0, grid, master_seed=0)
+    records, valid = run_grid(grid, 0, cells=[(8, 1, 1.0)])
     assert len(records) == 2 * 3
     assert valid
     assert all(r.sw >= 0 for r in records)
@@ -41,7 +41,7 @@ def test_smoke_cell_plumbing():
 
 def test_method_filtering():
     grid = _tiny_grid(methods=(GuidanceMethod(tag="dps"),))
-    records, _ = run_cell(8, 1, 1.0, grid, master_seed=0)
+    records, _ = run_grid(grid, 0, cells=[(8, 1, 1.0)])
     assert {r.method for r in records} == {"dps"}
     assert len(records) == 2
 
@@ -50,6 +50,16 @@ def test_record_count_full_grid():
     grid = _tiny_grid(dims=(8,), ms=(1, 2), sigmas=(1.0,), models_per_cell=1, chains_per_model=20)
     records, _ = run_grid(grid, master_seed=0)
     assert len(records) == 2 * 1 * 3
+
+
+def test_grid_abort_budget_is_per_cell(monkeypatch):
+    # 10 of 100 chains aborted per model is within the 10% budget; 11 is not
+    aborts = {0.1: 10, 1.0: 11}
+    monkeypatch.setattr(
+        harness, "run_model", lambda d, m, sigma, *a: ([], 100, aborts[sigma], {})
+    )
+    assert run_grid(_tiny_grid(), 0, cells=[(8, 1, 0.1)]) == ([], True)
+    assert run_grid(_tiny_grid(), 0, cells=[(8, 1, 0.1), (8, 1, 1.0)]) == ([], False)
 
 
 def test_run_model_determinism():
@@ -98,6 +108,24 @@ def test_emit_jsonl(tmp_path):
         "cg_failures": 0,
         "wall_ms": 0.0,
     }
+
+
+def test_emit_jsonl_writes_nan_sw_as_null(tmp_path):
+    # a model that lost every chain has SW nan; strict JSON has no NaN
+    records = [
+        ExperimentRecord(8, 1, 0.1, "cadps", 0, float("nan"), 0, 0.0),
+        ExperimentRecord(8, 1, 0.1, "cadps", 1, 2.0, 0, 0.0),
+    ]
+    path = tmp_path / "records.jsonl"
+    emit_results(records, "jsonl", path)
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    rows = [json.loads(line, parse_constant=reject) for line in path.read_text().splitlines()]
+    assert [row["sw"] for row in rows] == [None, 2.0]
+    emit_results(records, "csv", tmp_path / "records.csv")
+    assert np.isnan(parse_results_csv(tmp_path / "records.csv")[0].sw)
 
 
 def test_emit_rejects_empty():
@@ -204,6 +232,21 @@ def test_grid_checks_every_cell_before_running(bad, monkeypatch):
     with pytest.raises(ValueError, match=rf"\(d={bad[0]}, m={bad[1]}, sigma={bad[2]}\)"):
         run_grid(_tiny_grid(), 0, cells=[(8, 1, 0.1), (80, 2, 0.1), bad])
     assert calls == []
+
+
+def test_repeated_cell_rejected_before_running(tmp_path, monkeypatch):
+    # a repeat shares every seed stream, so it would write the same records twice;
+    # sigmas that round to one micro-unit share the streams too
+    calls = []
+    monkeypatch.setattr(harness, "run_model", lambda *a, **kw: calls.append(a))
+    with pytest.raises(ValueError, match=r"\(d=8, m=1, sigma=0.1000001\) repeats"):
+        run_grid(_tiny_grid(), 0, cells=[(8, 1, 0.1), (80, 2, 0.1), (8, 1, 0.1000001)])
+    args = ["--cell", "8,1,0.1", "--cell", "8,1,0.1", "--models", "2", "--chains", "50"]
+    args += ["--steps", "50", "--slices", "100", "--methods", "dps", "--no-timing"]
+    with pytest.raises(ValueError, match="repeats"):
+        cli_main(args + ["--out", str(tmp_path / "out")])
+    assert calls == []
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flag", ["--chains", "--models", "--slices", "--steps"])

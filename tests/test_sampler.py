@@ -19,7 +19,7 @@ from cadps.schedule import NoiseSchedule
 
 
 def _single_gaussian(d=1, mean=0.0):
-    return GaussianMixture(dim=d, means=np.full((1, d), mean), log_weights=np.zeros(1))
+    return GaussianMixture(means=np.full((1, d), mean), log_weights=np.zeros(1))
 
 
 def _unguided_chains(prior, sched, n, seed, tag="dps"):
@@ -161,22 +161,21 @@ def test_scalar_posterior_chain_mean():
 
 
 
-def _schedule_from_alpha_bar(alpha_bar):
-    """A schedule with the given alpha_bar table (t = 1 first), built as
-    build_linear_vp_schedule derives the other tables."""
+def _betas_for(alpha_bar):
+    """The beta table whose running product of 1 - beta is alpha_bar (t = 1 first)."""
     ab = np.asarray(alpha_bar, dtype=np.float64)
-    ab_prev = np.concatenate(([1.0], ab[:-1]))
-    beta = 1.0 - ab / ab_prev
-    sigma_tilde = np.sqrt(beta * (1.0 - ab_prev) / (1.0 - ab))
-    sigma_tilde[0] = 0.0
-    return NoiseSchedule(n_steps=len(ab), beta=beta, alpha_bar=ab, sigma_tilde=sigma_tilde)
+    return 1.0 - ab / np.concatenate(([1.0], ab[:-1]))
 
 
 @pytest.mark.parametrize("tag", ["cadps", "dps", "pigdm"])
 def test_guidance_skipped_below_alpha_bar_floor(tag, monkeypatch):
     above = _GUIDANCE_AB_MIN * (1.0 + 1e-6)
     below = _GUIDANCE_AB_MIN * (1.0 - 1e-6)
-    sched = _schedule_from_alpha_bar([0.5, 0.1, above, below])
+    # steps of ratio 0.1 keep 1 - beta well resolved, so the derived table
+    # lands on its targets and straddles the floor by the full margins
+    target = [0.5, *10.0 ** -np.arange(1, 12), above, below]
+    sched = NoiseSchedule(_betas_for(target))
+    assert np.allclose(sched.alpha_bar, target, rtol=1e-13, atol=0.0)
     seen = []
     original = getattr(sampler, f"guidance_gradient_{tag}")
 
@@ -193,7 +192,8 @@ def test_guidance_skipped_below_alpha_bar_floor(tag, monkeypatch):
     run_guided_chains(prior, meas, cfg)
     # PiGDM and CA-DPS draw the last step from their final conditional and
     # compute no guidance there
-    assert seen == ([above, 0.1, 0.5] if tag == "dps" else [above, 0.1])
+    guided = list(sched.alpha_bar[-2::-1])
+    assert seen == (guided if tag == "dps" else guided[:-1])
 
 
 def _harness_schedule():
@@ -258,6 +258,7 @@ def test_unconditional_chains_start_at_first_guided_step():
 
 
 def test_schedule_without_guided_step_rejected():
-    sched = _schedule_from_alpha_bar([_GUIDANCE_AB_MIN / 2, _GUIDANCE_AB_MIN / 4])
+    sched = NoiseSchedule(_betas_for([_GUIDANCE_AB_MIN / 2, _GUIDANCE_AB_MIN / 4]))
+    assert np.all(sched.alpha_bar < _GUIDANCE_AB_MIN)
     with pytest.raises(ValueError, match="alpha_bar"):
         _unguided_chains(_single_gaussian(2), sched, 2, 0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cadps import build_linear_vp_schedule
+from cadps import NoiseSchedule, build_linear_vp_schedule
 
 
 def test_toy_parameters_reach_pure_noise():
@@ -57,6 +57,15 @@ def test_alpha_bar_floor_at_its_edge():
     assert sched.alpha_bar.min() == pytest.approx(3.6e-219, rel=0.01)
 
 
+def test_schedule_is_built_from_beta_alone():
+    sched = NoiseSchedule([0.1, 0.1, 0.1])
+    assert sched.n_steps == 3
+    assert np.allclose(sched.alpha_bar, [0.9, 0.81, 0.729], rtol=1e-15)
+    assert sched.sigma_tilde[0] == 0.0
+    with pytest.raises(TypeError):
+        NoiseSchedule([0.1, 0.1], alpha_bar=np.ones(2))
+
+
 def test_rebuild_is_bit_identical():
     a = build_linear_vp_schedule(200, 0.1, 500.0)
     b = build_linear_vp_schedule(200, 0.1, 500.0)
@@ -71,9 +80,3 @@ def test_invalid_parameters_rejected():
         build_linear_vp_schedule(10, -0.1, 500.0)
     with pytest.raises(ValueError):
         build_linear_vp_schedule(10, 2.0, 1.0)
-
-
-def test_snr_closed_cases():
-    # ab = 0.5 -> 1, ab = 0.2 -> 4 (direct arithmetic on the formula)
-    assert (1 - 0.5) / 0.5 == pytest.approx(1.0)
-    assert (1 - 0.2) / 0.2 == pytest.approx(4.0)
