@@ -62,6 +62,8 @@ class ExperimentGrid:
             raise ValueError("grid sets must be nonempty")
         if min(self.models_per_cell, self.chains_per_model, self.n_slices) < 1:
             raise ValueError("counts must be positive")
+        if self.n_steps < 2:
+            raise ValueError(f"n_steps must be >= 2, got {self.n_steps}")
         tags = [m.tag for m in self.methods]
         if len(set(tags)) < len(tags):
             raise ValueError(f"each method tag may appear once, got {tags}")

@@ -1,9 +1,8 @@
-"""Conjugate gradient for SPD systems, batched over independent systems."""
+"""Conjugate gradient for shifted SPD Gram systems, batched over independent systems."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -21,30 +20,27 @@ class CgReport:
 
 
 def conjugate_gradient_solve(
-    apply_operator: Callable[[np.ndarray], np.ndarray],
+    gram: np.ndarray,
     rhs: np.ndarray,
+    shift: float,
     tol: float = 1e-4,
     max_iter: int | None = None,
 ):
-    """Solve SPD systems A x = rhs with plain conjugate gradient.
+    """Solve (shift I + gram) x = rhs with plain conjugate gradient.
 
-    ``rhs`` may be a single vector of shape (m,) or a batch (n, m) of
-    independent right-hand sides; ``apply_operator`` must map the same
-    shape, acting on the last axis.  Convergence is a relative residual
-    test against max(1, ||rhs||) per system.
+    ``gram`` is an explicit (m, m) matrix or a stack (n, m, m), one per
+    system; ``rhs`` is (m,) or (n, m), and the leading axes broadcast.
+    ``shift I + gram`` must be SPD.  Convergence is a relative residual
+    test against max(1, ||rhs||) per system.  Returns (x, CgReport).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    rhs = np.asarray(rhs, dtype=np.float64)
-    single = rhs.ndim == 1
-    b = rhs[None, :] if single else rhs
-    m = b.shape[-1]
+    b = np.asarray(rhs, dtype=np.float64)
     if max_iter is None:
-        max_iter = 10 * m
+        max_iter = 10 * b.shape[-1]
 
     def op(v: np.ndarray) -> np.ndarray:
-        out = apply_operator(v[0] if single else v)
-        return np.asarray(out)[None, :] if single else np.asarray(out)
+        return shift * v + np.einsum("...ij,...j->...i", gram, v)
 
     thresh = tol * np.maximum(1.0, np.linalg.norm(b, axis=-1))
     x = np.zeros_like(b)
@@ -70,7 +66,7 @@ def conjugate_gradient_solve(
         iterations += 1
         if not np.all(np.isfinite(x)):
             raise ValueError(
-                "non-finite CG iterate: operator is likely not SPD or is "
+                "non-finite CG iterate: shift I + gram is likely not SPD or is "
                 "severely ill-conditioned"
             )
     res = np.sqrt(rs)
@@ -79,4 +75,4 @@ def conjugate_gradient_solve(
         residual_norm=float(np.max(res)),
         converged=bool(np.all(res <= thresh)),
     )
-    return (x[0] if single else x), report
+    return x, report

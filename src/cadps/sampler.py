@@ -71,14 +71,14 @@ def reverse_step(
     t: int,
     z: np.ndarray,
 ) -> np.ndarray:
-    """One ancestral DDPM step, posterior-mean form, with standard-normal noise z."""
-    ab = schedule.alpha_bar_t(t)
-    ab_prev = schedule.alpha_bar_prev(t)
+    """One ancestral DDPM step, (x_t + beta_t score) / sqrt(1 - beta_t) + sigma_tilde_t z.
+
+    z is standard normal.  This equals the posterior-mean form of the step
+    wherever alpha_bar_t = (1 - beta_t) alpha_bar_{t-1}, that is wherever
+    the schedule's 1e-250 floor does not bind: on every step the sampler runs.
+    """
     beta = schedule.beta_t(t)
-    x0 = tweedie_mean(x_t, score, ab)
-    coef_x = np.sqrt(1.0 - beta) * (1.0 - ab_prev) / (1.0 - ab)
-    coef_x0 = np.sqrt(ab_prev) * beta / (1.0 - ab)
-    return coef_x * x_t + coef_x0 * x0 + schedule.sigma_tilde_t(t) * z
+    return (x_t + beta * score) / np.sqrt(1.0 - beta) + schedule.sigma_tilde_t(t) * z
 
 
 def run_guided_chains(

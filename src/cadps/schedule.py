@@ -60,11 +60,6 @@ class NoiseSchedule:
         self._check_t(t)
         return float(self.alpha_bar[t - 1])
 
-    def alpha_bar_prev(self, t: int) -> float:
-        """alpha_bar at step t-1, with the convention alpha_bar[0] = 1."""
-        self._check_t(t)
-        return 1.0 if t == 1 else float(self.alpha_bar[t - 2])
-
     def sigma_tilde_t(self, t: int) -> float:
         self._check_t(t)
         return float(self.sigma_tilde[t - 1])

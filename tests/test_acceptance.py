@@ -137,7 +137,7 @@ def test_criterion_3_solver_suite(capsys):
         b_mat = rng.standard_normal((m, m))
         g = b_mat @ b_mat.T + 0.1 * np.eye(m)
         rhs = rng.standard_normal(m)
-        x, report = conjugate_gradient_solve(lambda v: g @ v, rhs, tol=1e-12, max_iter=50 * m)
+        x, report = conjugate_gradient_solve(g, rhs, 0.0, tol=1e-12, max_iter=50 * m)
         if not (report.converged and np.allclose(x, np.linalg.solve(g, rhs), atol=1e-8)):
             cg_ok = False
     # CA-DPS guidance gradient against a dense direct solve

@@ -183,23 +183,6 @@ def test_all_gradients_vanish_for_zero_operator():
     assert np.allclose(g, 0.0)
 
 
-def test_cadps_directional_requires_score_fn():
-    prior = build_toy_prior(4)
-    sched = _schedule()
-    t = _step_near(sched, 0.5)
-    ab = sched.alpha_bar_t(t)
-    x = np.array([1.0, -0.5, 2.0, 0.3])
-    s = smoothed_score(prior, x, ab)
-    meas = MeasurementModel(
-        a=np.array([[0.6, 0.2, -0.1, 0.4], [0.0, 1.0, 0.5, -0.3]]),
-        y=np.array([0.3, -0.2]),
-        sigma=0.1,
-        x_star=np.zeros(4),
-    )
-    with pytest.raises(TypeError, match="score_fn"):
-        guidance_gradient_cadps(x, s, ab, meas)
-
-
 def test_cadps_scalar_closed_form():
     # unit Gaussian prior: the score is -x, so the forward HVP is exact and
     # Sigma_t = (1 - ab) I

@@ -6,7 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cadps import ExperimentGrid, GuidanceMethod, emit_results, emit_scatter, harness
+from cadps import (
+    ExperimentGrid,
+    GuidanceMethod,
+    build_linear_vp_schedule,
+    emit_results,
+    emit_scatter,
+    guidance,
+    harness,
+)
 from cadps.cli import build_parser, main as cli_main
 from cadps.harness import (
     ExperimentRecord,
@@ -14,6 +22,7 @@ from cadps.harness import (
     run_grid,
     run_model,
 )
+from cadps.sampler import _GUIDANCE_AB_MIN, ChainDiagnostics
 
 
 def _tiny_grid(**kw):
@@ -193,6 +202,41 @@ def test_cli_determinism(tmp_path):
     assert (tmp_path / "a/records.csv").read_bytes() == (tmp_path / "b/records.csv").read_bytes()
 
 
+def test_run_model_counts_cg_failures(monkeypatch):
+    solve = guidance.conjugate_gradient_solve
+
+    def never_converged(*args, **kwargs):
+        x, report = solve(*args, **kwargs)
+        return x, replace(report, converged=False)
+
+    monkeypatch.setattr(guidance, "conjugate_gradient_solve", never_converged)
+    grid = _tiny_grid()
+    sched = build_linear_vp_schedule(grid.n_steps)
+    t0 = int(np.flatnonzero(sched.alpha_bar >= _GUIDANCE_AB_MIN)[-1]) + 1
+    records, *_ = run_model(8, 2, 0.1, grid, 0, 0)
+    # PiGDM and CA-DPS solve once on each of their t0 - 1 guided steps and
+    # once in the final draw; DPS never solves
+    assert {r.method: r.cg_failures for r in records} == {"cadps": t0, "dps": 0, "pigdm": t0}
+
+
+def test_cli_flags_cell_that_lost_every_chain(tmp_path, monkeypatch, capsys):
+    def abort_every_chain(prior, meas, config):
+        n = config.n_chains
+        nan = np.full((n, prior.dim), np.nan)
+        return nan, ChainDiagnostics(aborted=np.ones(n, dtype=bool))
+
+    monkeypatch.setattr(harness, "run_guided_chains", abort_every_chain)
+    args = ["--cell", "8,1,1.0", "--models", "2", "--chains", "20", "--steps", "30"]
+    args += ["--slices", "50", "--no-timing", "--out", str(tmp_path)]
+    assert cli_main(args) == 1
+    assert "10% chain-abort budget" in capsys.readouterr().err
+    lines = (tmp_path / "records.csv").read_text().splitlines()
+    assert len(lines) == 1 + 2 * 3
+    assert all(line.split(",")[5] == "nan" for line in lines[1:])
+    rows = [json.loads(line) for line in (tmp_path / "records.jsonl").read_text().splitlines()]
+    assert [row["sw"] for row in rows] == [None] * 6
+
+
 def test_run_model_chain_seed_follows_method_tag():
     grid = _tiny_grid()
     all_methods, *_ = run_model(8, 1, 1.0, grid, 0, 0)
@@ -219,10 +263,20 @@ def test_cli_zeta_sets_default_dps(tmp_path):
     assert zeta["pigdm"] == base["pigdm"]
 
 
-@pytest.mark.parametrize("field", ["models_per_cell", "chains_per_model", "n_slices"])
-def test_grid_rejects_zero_counts(field):
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("models_per_cell", 0),
+        ("chains_per_model", 0),
+        ("n_slices", 0),
+        ("n_steps", 0),
+        ("n_steps", 1),  # a schedule needs two steps
+    ],
+    ids=["models_per_cell", "chains_per_model", "n_slices", "n_steps-0", "n_steps-1"],
+)
+def test_grid_rejects_zero_counts(field, value):
     with pytest.raises(ValueError):
-        ExperimentGrid(**{field: 0})
+        ExperimentGrid(**{field: value})
 
 
 @pytest.mark.parametrize("bad", [(8, 1, 0.0), (7, 1, 0.1), (2, 4, 0.1), (0, 1, 0.1), (8, 0, 0.1)])

@@ -59,18 +59,26 @@ def test_posterior_score_step_adds_weighted_gradient(
     n_steps, beta_max, d, log_scales, seed, data
 ):
     # stepping with score + g adds beta_t sqrt(ab_prev / ab) g to the
-    # prior-only step, on every step the sampler runs
+    # prior-only step, and the step is the DDPM posterior-mean form, on
+    # every step the sampler runs
     sched = build_linear_vp_schedule(n_steps, 0.1, beta_max)
     t0 = int(np.flatnonzero(sched.alpha_bar >= _GUIDANCE_AB_MIN)[-1]) + 1
     t = data.draw(st.integers(1, t0))
     rng = np.random.default_rng(seed)
     x, s, g = rng.standard_normal((3, d)) * 10.0 ** np.array(log_scales)[:, None]
     z = rng.standard_normal(d)
-    weight = sched.beta_t(t) * np.sqrt(sched.alpha_bar_prev(t) / sched.alpha_bar_t(t))
+    beta, ab = sched.beta_t(t), sched.alpha_bar_t(t)
+    ab_prev = sched.alpha_bar[t - 2] if t > 1 else 1.0
+    weight = beta * np.sqrt(ab_prev / ab)
     step = reverse_step(x, s + g, sched, t, z)
     expect = reverse_step(x, s, sched, t, z) + weight * g
     scale = max(np.max(np.abs(x)), np.max(np.abs(s)), np.max(np.abs(g)))
     assert np.max(np.abs(step - expect)) <= 1e-10 * scale
+    # reference: the posterior mean of x_{t-1} given x_t and the Tweedie x0
+    x0 = (x + (1.0 - ab) * s) / np.sqrt(ab)
+    mean = (np.sqrt(1.0 - beta) * (1.0 - ab_prev) * x + np.sqrt(ab_prev) * beta * x0) / (1.0 - ab)
+    reference = mean + sched.sigma_tilde_t(t) * z
+    assert np.max(np.abs(reverse_step(x, s, sched, t, z) - reference)) <= 1e-10 * scale
 
 
 def test_unconditional_chain_recovers_gaussian_prior():

@@ -37,10 +37,19 @@ def test_invariants():
     # ancestral noise is the DDPM posterior-variance choice
     for t in (2, 10, 499):
         ab = sched.alpha_bar_t(t)
-        ab_prev = sched.alpha_bar_prev(t)
+        ab_prev = sched.alpha_bar[t - 2]
         expect = np.sqrt(sched.beta_t(t) * (1 - ab_prev) / (1 - ab))
         assert sched.sigma_tilde_t(t) == pytest.approx(expect, rel=1e-12)
     assert sched.sigma_tilde_t(1) == 0.0
+
+
+def test_step_index_is_one_based():
+    sched = build_linear_vp_schedule(10, 0.1, 500.0)
+    assert sched.beta_t(1) == sched.beta[0]
+    assert sched.beta_t(10) == sched.beta[-1]
+    for t in (0, 11):
+        with pytest.raises(IndexError, match=rf"step index {t} outside \[1, 10\]"):
+            sched.beta_t(t)
 
 
 def test_alpha_bar_floor_at_its_edge():
