@@ -16,7 +16,7 @@ from cadps.measurement import MeasurementModel
 def main():
     sigma, y = 0.01, 0.7
     prior = GaussianMixture(means=np.zeros((1, 1)), log_weights=np.zeros(1))
-    meas = MeasurementModel(a=np.eye(1), y=np.array([y]), sigma=sigma, x_star=np.zeros(1))
+    meas = MeasurementModel(a=np.eye(1), y=np.array([y]), sigma=sigma)
     sched = build_linear_vp_schedule(200, 0.1, 500.0)
 
     post_var = sigma**2 / (1 + sigma**2)

@@ -2,8 +2,8 @@
 
 The flags set ExperimentGrid fields (--smoke first swaps in the desk-scale
 defaults); exit code 0 only if no cell was flagged invalid (> 10% aborted
-chains).  An invalid setting, such as a zero count, a repeated method or
---zeta without DPS, raises ValueError before any cell runs.
+chains).  An invalid setting (a zero count, a repeated method, a non-finite
+sigma or zeta, --zeta without DPS) raises ValueError before any cell runs.
 """
 
 from __future__ import annotations

@@ -188,9 +188,9 @@ def conditional_moments(
 def exact_posterior(prior: GaussianMixture, meas) -> GaussianMixture:
     """Exact Gaussian-mixture posterior under y = A x0 + N(0, sigma^2 I).
 
-    Shared component covariance Sigma = (I + A^T A / sigma^2)^{-1}, means
-    Sigma (A^T y / sigma^2 + U_k), weights re-weighted by
-    N(y; A U_k, sigma^2 I + A A^T).
+    With L the m x m Cholesky factor of S = sigma^2 I + A A^T, B = L^{-1} A and
+    z_k = L^{-1} (y - A U_k), Woodbury gives the shared covariance I - B^T B
+    and the means U_k + B^T z_k; the weights are re-weighted by N(y; A U_k, S).
     """
     _require_unit_variance(prior)
     a = np.asarray(meas.a, dtype=np.float64)
@@ -198,21 +198,18 @@ def exact_posterior(prior: GaussianMixture, meas) -> GaussianMixture:
     sigma = float(meas.sigma)
     if sigma <= 0:
         raise ValueError("measurement noise sigma must be positive")
-    if not np.any(a):
-        return prior
-    d = prior.dim
     m = a.shape[0]
-    cov = np.linalg.inv(np.eye(d) + (a.T @ a) / sigma**2)
-    cov = 0.5 * (cov + cov.T)
-    means = (np.full((prior.n_components, d), (a.T @ y) / sigma**2) + prior.means) @ cov.T
     chol = np.linalg.cholesky(sigma**2 * np.eye(m) + a @ a.T)
     # numpy, not scipy.linalg, which would double the package's import cost
-    z = np.linalg.solve(chol, y[:, None] - a @ prior.means.T)
+    b = np.linalg.solve(chol, a)  # (m, d)
+    z = np.linalg.solve(chol, y[:, None] - a @ prior.means.T)  # (m, K)
     log_w = prior.log_weights + (
         -0.5 * np.einsum("ik,ik->k", z, z)
         - np.sum(np.log(np.diag(chol)))
         - 0.5 * m * np.log(2.0 * np.pi)
     )
+    means = prior.means + z.T @ b
+    cov = np.eye(prior.dim) - b.T @ b
     return GaussianMixture(means=means, log_weights=_normalize_log_weights(log_w), cov=cov)
 
 

@@ -56,8 +56,8 @@ class GuidanceMethod:
             raise ValueError(f"unknown guidance tag {self.tag!r}")
         if self.tag != "dps" and self.zeta != 1.0:
             raise ValueError(f"zeta is a DPS setting; {self.tag} takes none")
-        if not self.zeta > 0:
-            raise ValueError("zeta must be positive for DPS")
+        if not 0 < self.zeta < np.inf:
+            raise ValueError("zeta must be finite and positive for DPS")
 
 
 def tweedie_mean(x_t: np.ndarray, score: np.ndarray, alpha_bar_t: float) -> np.ndarray:
@@ -214,8 +214,8 @@ def guidance_gradient_dps(
 
     jacobian_vp applies the symmetric Tweedie Jacobian J, so J^T v = J v.
     """
-    if not zeta > 0:
-        raise ValueError("zeta must be positive")
+    if not 0 < zeta < np.inf:
+        raise ValueError("zeta must be finite and positive")
     r = residual(meas, tweedie_mean(x_t, score, ab))
     rnorm = np.linalg.norm(r, axis=-1, keepdims=True)
     coeff = np.where(rnorm > 0, 2.0 * zeta / np.where(rnorm > 0, rnorm, 1.0), 0.0)

@@ -180,10 +180,10 @@ def run_grid(grid: ExperimentGrid, master_seed: int, cells=None):
     # records are written only at the end, so a bad cell must not wait its turn
     keys = set()
     for d, m, sigma in cells:
-        if d < 2 or d % 2 or not 1 <= m <= d or not sigma > 0:
+        if d < 2 or d % 2 or not 1 <= m <= d or not 0 < sigma < np.inf:
             raise ValueError(
                 f"invalid cell (d={d}, m={m}, sigma={sigma}): "
-                "need d even and >= 2, 1 <= m <= d and sigma > 0"
+                "need d even and >= 2, 1 <= m <= d and a finite sigma > 0"
             )
         # a repeat would rerun the same seeds and write every record twice
         key = _cell_key(d, m, sigma)
@@ -247,7 +247,7 @@ def emit_results(records, format: str, path) -> Path:
             if len(vals) >= 2:
                 mean, half = aggregate_ci(vals)
             else:
-                mean, half = float(vals[0]), 0.0
+                mean, half = float(vals[0]), float("nan")
             writer.writerow([_fmt(v) for v in (*key, mean, half)])
     return path
 

@@ -18,10 +18,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MeasurementModel:
+    """The observation y = A x0 + N(0, sigma^2 I); the ground truth is not kept."""
+
     a: np.ndarray  # (m, d)
     y: np.ndarray  # (m,)
     sigma: float
-    x_star: np.ndarray  # (d,) ground truth, kept for diagnostics
 
     @property
     def m(self) -> int:
@@ -62,7 +63,8 @@ def generate_observation(
     sigma: float,
     rng_seed: int | np.random.Generator,
 ) -> MeasurementModel:
-    """Draw x* from the prior and observe y = A x* + sigma * z."""
+    """Observe y = A x* + sigma * z, drawing x* = sample_mixture(prior, 1, rng)[0]
+    and then z = rng.standard_normal(m) from one generator."""
     a = np.asarray(a, dtype=np.float64)
     if a.shape[1] != prior.dim:
         raise ValueError(
@@ -73,7 +75,7 @@ def generate_observation(
     rng = np.random.default_rng(rng_seed)
     x_star = sample_mixture(prior, 1, rng)[0]
     y = a @ x_star + sigma * rng.standard_normal(a.shape[0])
-    return MeasurementModel(a=a, y=y, sigma=float(sigma), x_star=x_star)
+    return MeasurementModel(a=a, y=y, sigma=float(sigma))
 
 
 def residual(meas: MeasurementModel, x0_hat: np.ndarray) -> np.ndarray:

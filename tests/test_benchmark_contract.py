@@ -45,9 +45,7 @@ def test_tracer_installs_and_restores(monkeypatch, tag):
         # one guided step through the wrapped names records its CG solve
         prior = build_toy_prior(2)
         sched = build_linear_vp_schedule(20, 0.1, 500.0)
-        meas = MeasurementModel(
-            a=np.array([[0.6, 0.2]]), y=np.array([0.3]), sigma=0.5, x_star=np.zeros(2)
-        )
+        meas = MeasurementModel(a=np.array([[0.6, 0.2]]), y=np.array([0.3]), sigma=0.5)
         x = np.array([[1.0, -2.0], [0.5, 3.0]])
         ab = sched.alpha_bar_t(1)
         score = sampler.smoothed_score(prior, x, ab)
@@ -85,6 +83,32 @@ def test_sliced_wasserstein_span_per_method(monkeypatch):
     spans = [s for s in tracer.spans if s.name == "metrics.sliced_wasserstein"]
     assert len(spans) == len(records) == len(grid.methods)
     assert [s.attrs["slices"] for s in spans] == [16] * len(grid.methods)
+
+
+def test_posterior_capture_one_per_model(monkeypatch, tmp_path):
+    # the workload zips each round's outputs with the (measurement,
+    # posterior) pairs its capture of harness.exact_posterior stored; a
+    # short list would skip the posterior, reference and SW checks of the
+    # models past its end while the run still reads correct
+    workload = _load_workload(monkeypatch)
+    monkeypatch.setattr(harness, "exact_posterior", harness.exact_posterior)
+    grid = harness.ExperimentGrid(
+        dims=(800,),
+        ms=(4,),
+        sigmas=(0.1,),
+        models_per_cell=2,
+        chains_per_model=5,
+        n_steps=20,
+        n_slices=16,
+    )
+    models = []
+    workload.capture_models(models)
+    _, outputs = workload.run_round(grid, [(800, 4, 0.1)], 0, tmp_path, models)
+    assert len(models) == len(outputs) == grid.models_per_cell
+    for meas, posterior in models:
+        assert meas.a.shape == (4, 800)
+        # checks.posterior_mismatch, as the workload imports it
+        assert workload.posterior_mismatch(posterior, meas.a, meas.y, meas.sigma) is None
 
 
 def test_final_draw_span_per_chain_run(monkeypatch):

@@ -236,14 +236,19 @@ def test_corollary_covariance_identity():
 
 
 def test_exact_posterior_uninformative():
+    # A = 0: the general form keeps the prior's means and weights, with
+    # the prior's unit covariance as a matrix
     prior = build_toy_prior(2)
-    meas = MeasurementModel(a=np.zeros((1, 2)), y=np.zeros(1), sigma=1.0, x_star=np.zeros(2))
-    assert exact_posterior(prior, meas) is prior
+    meas = MeasurementModel(a=np.zeros((1, 2)), y=np.array([0.7]), sigma=1.0)
+    post = exact_posterior(prior, meas)
+    assert np.array_equal(post.means, prior.means)
+    assert np.array_equal(post.cov, np.eye(2))
+    assert np.allclose(post.log_weights, prior.log_weights, rtol=0.0, atol=1e-14)
 
 
 def test_exact_posterior_scalar_conjugate():
     prior = _single_gaussian(1)
-    meas = MeasurementModel(a=np.eye(1), y=np.array([2.0]), sigma=1.0, x_star=np.zeros(1))
+    meas = MeasurementModel(a=np.eye(1), y=np.array([2.0]), sigma=1.0)
     post = exact_posterior(prior, meas)
     assert post.means[0, 0] == pytest.approx(1.0, rel=1e-12)
     assert post.cov[0, 0] == pytest.approx(0.5, rel=1e-12)
@@ -253,7 +258,7 @@ def test_exact_posterior_weights_normalized():
     prior = build_toy_prior(2)
     rng = np.random.default_rng(4)
     a = rng.standard_normal((1, 2))
-    meas = MeasurementModel(a=a, y=np.array([1.3]), sigma=0.1, x_star=np.zeros(2))
+    meas = MeasurementModel(a=a, y=np.array([1.3]), sigma=0.1)
     post = exact_posterior(prior, meas)
     assert abs(logsumexp(post.log_weights)) <= 1e-12
 
@@ -284,10 +289,39 @@ def test_exact_posterior_log_weights_match_dense_inverse():
                     log_w.append(lw - 0.5 * (r @ z + logdet + m * np.log(2 * np.pi)))
                 log_w = np.array(log_w)
                 expect = log_w - logsumexp(log_w)
-                meas = MeasurementModel(a=a, y=y, sigma=sigma, x_star=x_star)
+                meas = MeasurementModel(a=a, y=y, sigma=sigma)
                 got = exact_posterior(prior, meas).log_weights
                 err = np.max(np.abs(got - expect)) / np.max(np.abs(expect))
                 assert err <= 1e-12, (d, m, sigma, err)
+
+
+def _dense_inverse_posterior(prior, a, y, sigma):
+    """(means, cov, weights) with the d x d precision inverted directly."""
+    m, d = a.shape
+    cov = np.linalg.inv(np.eye(d) + a.T @ a / sigma**2)
+    cov = 0.5 * (cov + cov.T)
+    means = (a.T @ y / sigma**2 + prior.means) @ cov.T
+    s_inv = np.linalg.inv(sigma**2 * np.eye(m) + a @ a.T)
+    resid = y - prior.means @ a.T
+    log_w = prior.log_weights - 0.5 * np.einsum("ki,ij,kj->k", resid, s_inv, resid)
+    return means, cov, np.exp(log_w - logsumexp(log_w))
+
+
+def test_exact_posterior_matches_dense_inverse():
+    # the Woodbury form from the m x m Cholesky against the d x d inverse
+    rng = np.random.default_rng(25)
+    for d in (2, 8, 80):
+        prior = build_toy_prior(d)
+        for m in (1, 2, 4):
+            for sigma in (0.01, 0.1, 1.0):
+                a = rng.standard_normal((m, d)) / np.sqrt(d)
+                y = a @ sample_mixture(prior, 1, rng)[0] + sigma * rng.standard_normal(m)
+                means, cov, w = _dense_inverse_posterior(prior, a, y, sigma)
+                post = exact_posterior(prior, MeasurementModel(a=a, y=y, sigma=sigma))
+                scale = 1.0 + np.max(np.abs(means))
+                assert np.max(np.abs(post.means - means)) <= 1e-10 * scale, (d, m, sigma)
+                assert np.max(np.abs(post.cov - cov)) <= 1e-10, (d, m, sigma)
+                assert np.max(np.abs(np.exp(post.log_weights) - w)) <= 1e-10, (d, m, sigma)
 
 
 def test_normalize_log_weights_matches_scipy_logsumexp():

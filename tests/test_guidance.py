@@ -45,12 +45,13 @@ def test_method_validation():
         GuidanceMethod(tag="nope")
     with pytest.raises(ValueError):
         GuidanceMethod(tag="dps", zeta=0.0)
-    # NaN passes a zeta <= 0 test
-    with pytest.raises(ValueError, match="positive"):
-        GuidanceMethod(tag="dps", zeta=float("nan"))
-    meas = MeasurementModel(a=np.eye(1), y=np.zeros(1), sigma=0.1, x_star=np.zeros(1))
-    with pytest.raises(ValueError, match="positive"):
-        guidance_gradient_dps(np.ones(1), np.ones(1), 0.5, meas, lambda v: v, zeta=np.nan)
+    # NaN passes a zeta <= 0 test; an infinite zeta aborts every DPS chain
+    meas = MeasurementModel(a=np.eye(1), y=np.zeros(1), sigma=0.1)
+    for zeta in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            GuidanceMethod(tag="dps", zeta=zeta)
+        with pytest.raises(ValueError, match="finite and positive"):
+            guidance_gradient_dps(np.ones(1), np.ones(1), 0.5, meas, lambda v: v, zeta=zeta)
     # zeta is a DPS setting; the other rules would ignore it
     for tag, zeta in (("pigdm", -3.0), ("pigdm", 3.0), ("cadps", 0.5), ("cadps", np.nan)):
         with pytest.raises(ValueError, match="DPS setting"):
@@ -174,7 +175,7 @@ def test_all_gradients_vanish_for_zero_operator():
     ab = sched.alpha_bar_t(t)
     x = np.array([1.0, -0.5])
     s = smoothed_score(prior, x, ab)
-    meas = MeasurementModel(a=np.zeros((1, 2)), y=np.zeros(1), sigma=0.1, x_star=np.zeros(2))
+    meas = MeasurementModel(a=np.zeros((1, 2)), y=np.zeros(1), sigma=0.1)
     g, _ = guidance_gradient_cadps(x, s, ab, meas, lambda z: smoothed_score(prior, z, ab))
     assert np.allclose(g, 0.0)
     jvp = make_tweedie_jacobian_vp(prior, ab, x)
@@ -192,7 +193,7 @@ def test_cadps_scalar_closed_form():
     ab = sched.alpha_bar_t(t)
     x = np.array([0.4])
     score = smoothed_score(prior, x, ab)
-    meas = MeasurementModel(a=np.eye(1), y=np.array([0.9]), sigma=0.3, x_star=np.zeros(1))
+    meas = MeasurementModel(a=np.eye(1), y=np.array([0.9]), sigma=0.3)
     g, report = guidance_gradient_cadps(
         x, score, ab, meas, lambda z: smoothed_score(prior, z, ab)
     )
@@ -212,7 +213,7 @@ def test_cadps_directional_matches_dense_analytic_covariance():
     x = rng.uniform(-4, 4, 4)
     score = smoothed_score(prior, x, ab)
     a = rng.standard_normal((2, 4))
-    meas = MeasurementModel(a=a, y=rng.standard_normal(2), sigma=0.2, x_star=np.zeros(4))
+    meas = MeasurementModel(a=a, y=rng.standard_normal(2), sigma=0.2)
     g, _ = guidance_gradient_cadps(x, score, ab, meas, lambda z: smoothed_score(prior, z, ab))
     cov = conditional_moments(prior, x, ab).cov
     x0 = tweedie_mean(x, score, ab)
@@ -229,7 +230,7 @@ def test_dps_zero_residual_guard():
     x = np.array([0.5])
     score = smoothed_score(prior, x, ab)
     x0 = tweedie_mean(x, score, ab)
-    meas = MeasurementModel(a=np.eye(1), y=np.array([x0[0]]), sigma=0.1, x_star=np.zeros(1))
+    meas = MeasurementModel(a=np.eye(1), y=np.array([x0[0]]), sigma=0.1)
     jvp = make_tweedie_jacobian_vp(prior, ab, x)
     assert np.allclose(guidance_gradient_dps(x, score, ab, meas, jvp), 0.0)
 
@@ -242,7 +243,7 @@ def test_dps_unit_arithmetic():
     x = np.array([0.0])
     score = smoothed_score(prior, x, ab)  # zero at the origin
     x0 = tweedie_mean(x, score, ab)
-    meas = MeasurementModel(a=np.eye(1), y=np.array([x0[0] + 2.0]), sigma=0.1, x_star=np.zeros(1))
+    meas = MeasurementModel(a=np.eye(1), y=np.array([x0[0] + 2.0]), sigma=0.1)
     g = guidance_gradient_dps(x, score, ab, meas, zeta=1.0, jacobian_vp=lambda v: v)
     # (2 zeta / ||r||) * J^T A^T r with r = 2, J = A = 1
     assert g[0] == pytest.approx(2.0, rel=1e-12)
@@ -255,7 +256,7 @@ def test_dps_matches_fd_of_objective():
     ab = sched.alpha_bar_t(t)
     rng = np.random.default_rng(4)
     a = rng.standard_normal((1, 2))
-    meas = MeasurementModel(a=a, y=np.array([1.5]), sigma=0.1, x_star=np.zeros(2))
+    meas = MeasurementModel(a=a, y=np.array([1.5]), sigma=0.1)
     x = np.array([2.0, -1.0])
     score = smoothed_score(prior, x, ab)
 
@@ -284,7 +285,7 @@ def test_pigdm_scalar_closed_form():
     ab = sched.alpha_bar_t(t)
     x = np.array([0.7])
     score = smoothed_score(prior, x, ab)
-    meas = MeasurementModel(a=0.6 * np.eye(1), y=np.array([1.1]), sigma=0.2, x_star=np.zeros(1))
+    meas = MeasurementModel(a=0.6 * np.eye(1), y=np.array([1.1]), sigma=0.2)
     jvp = make_tweedie_jacobian_vp(prior, ab, x)
     g, report = guidance_gradient_pigdm(x, score, ab, meas, jvp)
     rt2 = 1 - ab
@@ -304,7 +305,7 @@ def test_pigdm_reduction_from_cadps():
     ab = sched.alpha_bar_t(t)
     rng = np.random.default_rng(5)
     a = rng.standard_normal((1, 2))
-    meas = MeasurementModel(a=a, y=np.array([0.8]), sigma=0.3, x_star=np.zeros(2))
+    meas = MeasurementModel(a=a, y=np.array([0.8]), sigma=0.3)
     x = np.array([1.2, -0.4])
     score = smoothed_score(prior, x, ab)
     g_cadps, _ = guidance_gradient_cadps(
@@ -350,7 +351,7 @@ def test_cadps_directional_zero_row_of_a(monkeypatch):
     score = smoothed_score(prior, x, ab)
     a = rng.standard_normal((3, 4))
     a[1] = 0.0
-    meas = MeasurementModel(a=a, y=rng.standard_normal(3), sigma=0.2, x_star=np.zeros(4))
+    meas = MeasurementModel(a=a, y=rng.standard_normal(3), sigma=0.2)
     calls, grams = [], []
 
     def score_fn(z):
@@ -372,7 +373,7 @@ def test_cadps_directional_zero_row_of_a(monkeypatch):
 
 def test_sample_final_conditional_moments():
     # N(x0, s) conditioned on y = x + sigma eps: conjugate scalar posterior
-    meas = MeasurementModel(a=np.eye(1), y=np.array([1.0]), sigma=0.1, x_star=np.zeros(1))
+    meas = MeasurementModel(a=np.eye(1), y=np.array([1.0]), sigma=0.1)
     rng = np.random.default_rng(7)
     n = 200_000
     x0 = np.zeros((n, 1))
@@ -397,7 +398,7 @@ def test_pigdm_batched_matches_dense_solve():
     x = rng.uniform(-8, 8, (5, 8))
     score = smoothed_score(prior, x, ab)
     a = rng.standard_normal((4, 8))
-    meas = MeasurementModel(a=a, y=rng.standard_normal(4), sigma=0.2, x_star=np.zeros(8))
+    meas = MeasurementModel(a=a, y=rng.standard_normal(4), sigma=0.2)
     jvp = make_tweedie_jacobian_vp(prior, ab, x)
     g, report = guidance_gradient_pigdm(x, score, ab, meas, jacobian_vp=jvp)
     assert report.converged
@@ -415,7 +416,7 @@ def test_sample_final_conditional_matches_gaussian_conditional():
     # with M = sigma^2 I + s A A^T
     rng = np.random.default_rng(12)
     a = rng.standard_normal((2, 3))
-    meas = MeasurementModel(a=a, y=np.array([0.7, -0.4]), sigma=0.3, x_star=np.zeros(3))
+    meas = MeasurementModel(a=a, y=np.array([0.7, -0.4]), sigma=0.3)
     s = 0.5
     x0 = np.array([0.2, -0.3, 1.0])
     gain = s * a.T @ np.linalg.inv(meas.sigma**2 * np.eye(2) + s * a @ a.T)

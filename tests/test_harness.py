@@ -102,6 +102,15 @@ def test_emit_summary_mean(tmp_path):
     assert float(fields[4]) == pytest.approx(3.0, abs=1e-12)
 
 
+def test_emit_summary_one_model_has_no_interval(tmp_path):
+    # one model per cell leaves no spread to estimate, so the half-width is
+    # nan rather than a zero that claims certainty
+    records = [ExperimentRecord(8, 1, 0.1, m, 0, 2.5, 0, 0.0) for m in ("cadps", "dps")]
+    emit_results(records, "csv", tmp_path / "records.csv")
+    rows = (tmp_path / "records_summary.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[4:] for row in rows] == [["2.5", "nan"], ["2.5", "nan"]]
+
+
 def test_emit_jsonl(tmp_path):
     records = [ExperimentRecord(8, 1, 0.1, "pigdm", 0, 1.0, 0, 0.0)]
     path = tmp_path / "records.jsonl"
@@ -279,7 +288,9 @@ def test_grid_rejects_zero_counts(field, value):
         ExperimentGrid(**{field: value})
 
 
-@pytest.mark.parametrize("bad", [(8, 1, 0.0), (7, 1, 0.1), (2, 4, 0.1), (0, 1, 0.1), (8, 0, 0.1)])
+@pytest.mark.parametrize(
+    "bad", [(8, 1, 0.0), (7, 1, 0.1), (2, 4, 0.1), (0, 1, 0.1), (8, 0, 0.1), (8, 1, float("inf"))]
+)
 def test_grid_checks_every_cell_before_running(bad, monkeypatch):
     calls = []
     monkeypatch.setattr(harness, "run_model", lambda *a, **kw: calls.append(a))

@@ -8,7 +8,15 @@ from cadps import (
     generate_observation,
     residual,
 )
+from cadps.gmm import sample_mixture
 from cadps.measurement import MeasurementModel
+
+
+def _replay_draws(prior, m, rng):
+    """generate_observation's documented draws, x* and then the noise z,
+    from a generator in the same state."""
+    x_star = sample_mixture(prior, 1, rng)[0]
+    return x_star, rng.standard_normal(m)
 
 
 def test_rank_one_norm_identity():
@@ -77,7 +85,8 @@ def test_observation_noiseless_limit():
     prior = build_toy_prior(2)
     a = generate_measurement_matrix(2, 1, np.random.default_rng(3))
     meas = generate_observation(a, prior, 0.0, np.random.default_rng(4))
-    assert np.allclose(meas.y, a @ meas.x_star)
+    x_star, _ = _replay_draws(prior, 1, np.random.default_rng(4))
+    assert np.allclose(meas.y, a @ x_star)
 
 
 def test_observation_determinism():
@@ -85,20 +94,22 @@ def test_observation_determinism():
     a = generate_measurement_matrix(8, 2, np.random.default_rng(5))
     m1 = generate_observation(a, prior, 1.0, np.random.default_rng(6))
     m2 = generate_observation(a, prior, 1.0, np.random.default_rng(6))
-    assert np.array_equal(m1.x_star, m2.x_star)
     assert np.array_equal(m1.y, m2.y)
+    x_star, z = _replay_draws(prior, 2, np.random.default_rng(6))
+    assert np.array_equal(m1.y, a @ x_star + 1.0 * z)
 
 
 def test_observation_noise_scale():
     prior = build_toy_prior(2)
     a = generate_measurement_matrix(2, 1, np.random.default_rng(7))
     rng = np.random.default_rng(8)
+    replay = np.random.default_rng(8)
     sigma = 0.5
     devs = []
-    x_ref = None
     for _ in range(10_000):
         m = generate_observation(a, prior, sigma, rng)
-        devs.append(m.y - a @ m.x_star)
+        x_star, _ = _replay_draws(prior, 1, replay)
+        devs.append(m.y - a @ x_star)
     devs = np.concatenate(devs)
     assert abs(devs.std() - sigma) <= 0.05 * sigma
 
@@ -110,14 +121,14 @@ def test_observation_dimension_mismatch():
 
 
 def test_residual_examples():
-    meas = MeasurementModel(a=np.eye(2), y=np.array([3.0, 4.0]), sigma=1.0, x_star=np.zeros(2))
+    meas = MeasurementModel(a=np.eye(2), y=np.array([3.0, 4.0]), sigma=1.0)
     assert np.allclose(residual(meas, np.array([1.0, 1.0])), [2.0, 3.0])
 
     rng = np.random.default_rng(9)
     a = rng.standard_normal((3, 5))
     x = rng.standard_normal(5)
     y = rng.standard_normal(3)
-    meas = MeasurementModel(a=a, y=y, sigma=1.0, x_star=np.zeros(5))
+    meas = MeasurementModel(a=a, y=y, sigma=1.0)
     brute = np.array([y[i] - sum(a[i, j] * x[j] for j in range(5)) for i in range(3)])
     assert np.allclose(residual(meas, x), brute, atol=1e-12)
 

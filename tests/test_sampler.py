@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cadps import (
@@ -8,11 +8,14 @@ from cadps import (
     GuidanceMethod,
     build_linear_vp_schedule,
     build_toy_prior,
+    generate_measurement_matrix,
+    generate_observation,
     run_guided_chains,
     smoothed_score,
 )
 from cadps import sampler
 from cadps.gmm import GaussianMixture
+from cadps.guidance import METHOD_TAGS
 from cadps.measurement import MeasurementModel
 from cadps.sampler import _GUIDANCE_AB_MIN, reverse_step
 from cadps.schedule import NoiseSchedule
@@ -25,7 +28,7 @@ def _single_gaussian(d=1, mean=0.0):
 def _unguided_chains(prior, sched, n, seed, tag="dps"):
     """run_guided_chains with A = 0, which adds no guidance."""
     d = prior.dim
-    meas = MeasurementModel(a=np.zeros((1, d)), y=np.zeros(1), sigma=0.5, x_star=np.zeros(d))
+    meas = MeasurementModel(a=np.zeros((1, d)), y=np.zeros(1), sigma=0.5)
     cfg = ChainConfig(schedule=sched, method=GuidanceMethod(tag=tag), rng_seed=seed, n_chains=n)
     return run_guided_chains(prior, meas, cfg)
 
@@ -124,7 +127,7 @@ def test_determinism_bit_identical():
     sched = build_linear_vp_schedule(50, 0.1, 500.0)
     rng = np.random.default_rng(5)
     a = rng.standard_normal((1, 2))
-    meas = MeasurementModel(a=a, y=np.array([1.0]), sigma=0.1, x_star=np.zeros(2))
+    meas = MeasurementModel(a=a, y=np.array([1.0]), sigma=0.1)
     cfg = ChainConfig(schedule=sched, method=GuidanceMethod(tag="cadps"), rng_seed=6, n_chains=16)
     x1, _ = run_guided_chains(prior, meas, cfg)
     x2, _ = run_guided_chains(prior, meas, cfg)
@@ -136,7 +139,7 @@ def test_all_outputs_finite():
     sched = build_linear_vp_schedule(100, 0.1, 500.0)
     rng = np.random.default_rng(9)
     a = rng.standard_normal((2, 8)) * 0.3
-    meas = MeasurementModel(a=a, y=rng.standard_normal(2), sigma=0.1, x_star=np.zeros(8))
+    meas = MeasurementModel(a=a, y=rng.standard_normal(2), sigma=0.1)
     for tag in ("cadps", "dps", "pigdm"):
         cfg = ChainConfig(schedule=sched, method=GuidanceMethod(tag=tag), rng_seed=10, n_chains=32)
         xs, diags = run_guided_chains(prior, meas, cfg)
@@ -147,7 +150,7 @@ def test_all_outputs_finite():
 def test_dimension_mismatch_rejected():
     prior = build_toy_prior(4)
     sched = build_linear_vp_schedule(10, 0.1, 500.0)
-    meas = MeasurementModel(a=np.zeros((1, 2)), y=np.zeros(1), sigma=0.1, x_star=np.zeros(2))
+    meas = MeasurementModel(a=np.zeros((1, 2)), y=np.zeros(1), sigma=0.1)
     cfg = ChainConfig(schedule=sched, method=GuidanceMethod(tag="dps"), rng_seed=0)
     with pytest.raises(ValueError):
         run_guided_chains(prior, meas, cfg)
@@ -158,7 +161,7 @@ def test_scalar_posterior_chain_mean():
     # y/(1 + sigma^2) ~= 0.69993
     prior = _single_gaussian(1)
     sched = build_linear_vp_schedule(200, 0.1, 500.0)
-    meas = MeasurementModel(a=np.eye(1), y=np.array([0.7]), sigma=0.01, x_star=np.zeros(1))
+    meas = MeasurementModel(a=np.eye(1), y=np.array([0.7]), sigma=0.01)
     cfg = ChainConfig(schedule=sched, method=GuidanceMethod(tag="cadps"), rng_seed=11, n_chains=1000)
     xs, diags = run_guided_chains(prior, meas, cfg)
     assert diags.n_aborted == 0
@@ -193,9 +196,7 @@ def test_guidance_skipped_below_alpha_bar_floor(tag, monkeypatch):
 
     monkeypatch.setattr(sampler, f"guidance_gradient_{tag}", counting)
     prior = _single_gaussian(2)
-    meas = MeasurementModel(
-        a=np.array([[0.6, 0.2]]), y=np.array([0.3]), sigma=0.5, x_star=np.zeros(2)
-    )
+    meas = MeasurementModel(a=np.array([[0.6, 0.2]]), y=np.array([0.3]), sigma=0.5)
     cfg = ChainConfig(schedule=sched, method=GuidanceMethod(tag=tag), rng_seed=13, n_chains=4)
     run_guided_chains(prior, meas, cfg)
     # PiGDM and CA-DPS draw the last step from their final conditional and
@@ -230,9 +231,7 @@ def test_score_never_evaluated_below_alpha_bar_floor(tag, m, monkeypatch):
 
     monkeypatch.setattr(sampler, "smoothed_score", counting)
     rng = np.random.default_rng(14)
-    meas = MeasurementModel(
-        a=rng.standard_normal((m, 4)), y=rng.standard_normal(m), sigma=0.1, x_star=np.zeros(4)
-    )
+    meas = MeasurementModel(a=rng.standard_normal((m, 4)), y=rng.standard_normal(m), sigma=0.1)
     cfg = ChainConfig(schedule=sched, method=GuidanceMethod(tag=tag), rng_seed=15, n_chains=4)
     _, diags = run_guided_chains(build_toy_prior(4), meas, cfg)
     assert diags.n_aborted == 0
@@ -240,6 +239,34 @@ def test_score_never_evaluated_below_alpha_bar_floor(tag, m, monkeypatch):
     # CA-DPS adds one score evaluation per measurement direction on every
     # step but the last, which draws from the final conditional
     assert len(seen) == (55 + 54 * m if tag == "cadps" else 55)
+
+
+@settings(max_examples=20)
+@given(
+    d=st.sampled_from([2, 4, 8]),
+    log10_sigma=st.floats(-4.0, 1.0),
+    n_steps=st.integers(2, 2000),
+    beta_max=st.floats(10.0, 500.0),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_every_method_finite_across_cells_and_schedules(
+    d, log10_sigma, n_steps, beta_max, seed, data
+):
+    # a random measurement model, noise level and linear schedule: no
+    # method may abort a chain, miss a solve or return a non-finite sample
+    m = data.draw(st.integers(1, min(4, d)), label="m")
+    rng = np.random.default_rng(seed)
+    prior = build_toy_prior(d)
+    a = generate_measurement_matrix(d, m, rng)
+    meas = generate_observation(a, prior, 10.0**log10_sigma, rng)
+    sched = build_linear_vp_schedule(n_steps, 0.1, beta_max)
+    for tag in METHOD_TAGS:
+        cfg = ChainConfig(schedule=sched, method=GuidanceMethod(tag=tag), rng_seed=rng, n_chains=16)
+        x, diags = run_guided_chains(prior, meas, cfg)
+        assert diags.n_aborted == 0, tag
+        assert diags.cg_failures == 0, tag
+        assert np.all(np.isfinite(x)), tag
 
 
 def _unconditional_from(prior, sched, n, seed, t_start):
