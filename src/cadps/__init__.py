@@ -31,7 +31,6 @@ from .measurement import (
 )
 from .guidance import (
     GuidanceMethod,
-    fd_score_hessian,
     guidance_gradient_cadps,
     guidance_gradient_dps,
     guidance_gradient_pigdm,

@@ -32,22 +32,27 @@ TOY_LATTICE = list(itertools.product(range(-2, 3), repeat=2))
 
 @dataclass(frozen=True)
 class GaussianMixture:
-    """Weighted Gaussian mixture.
+    """Weighted Gaussian mixture with the shared covariance I - B^T B.
 
-    ``cov`` is either a positive float (shared isotropic variance) or a
-    full shared (d, d) SPD covariance, as produced by exact_posterior.
-    log_weights are kept normalized (logsumexp == 0).
+    ``factor`` is the (r, d) matrix B; the default has r = 0, unit
+    components, as the prior and every smoothing formula need.
+    exact_posterior returns its (m, d) B.  log_weights are kept
+    normalized (logsumexp == 0).
     """
 
     means: np.ndarray  # (K, d)
     log_weights: np.ndarray  # (K,)
-    cov: float | np.ndarray = 1.0
+    factor: np.ndarray | None = None  # (r, d); None means r = 0
 
     def __post_init__(self):
         if self.means.ndim != 2 or self.means.shape[0] != self.log_weights.shape[0]:
             raise ValueError("means must be (K, d), one row per log-weight")
         if not np.all(np.isfinite(self.means)):
             raise ValueError("non-finite component means")
+        if self.factor is None:
+            object.__setattr__(self, "factor", np.zeros((0, self.dim)))
+        elif self.factor.ndim != 2 or self.factor.shape[1] != self.dim:
+            raise ValueError("factor must be (r, d), one column per coordinate")
 
     @property
     def dim(self) -> int:
@@ -58,8 +63,9 @@ class GaussianMixture:
         return self.means.shape[0]
 
     @property
-    def is_unit_isotropic(self) -> bool:
-        return np.isscalar(self.cov) and float(self.cov) == 1.0
+    def cov(self) -> np.ndarray:
+        """The shared (d, d) covariance I - B^T B, formed on demand."""
+        return np.eye(self.dim) - self.factor.T @ self.factor
 
 
 @dataclass(frozen=True)
@@ -82,11 +88,11 @@ def build_toy_prior(d: int) -> GaussianMixture:
         [np.tile([8.0 * i, 8.0 * j], d // 2) for i, j in TOY_LATTICE]
     )
     log_w = _normalize_log_weights(np.zeros(len(TOY_LATTICE)))
-    return GaussianMixture(means=means, log_weights=log_w, cov=1.0)
+    return GaussianMixture(means=means, log_weights=log_w)
 
 
 def _require_unit_variance(prior: GaussianMixture) -> None:
-    if not prior.is_unit_isotropic:
+    if prior.factor.shape[0]:
         raise ValueError("smoothing formulas require unit component variance")
 
 
@@ -191,6 +197,7 @@ def exact_posterior(prior: GaussianMixture, meas) -> GaussianMixture:
     With L the m x m Cholesky factor of S = sigma^2 I + A A^T, B = L^{-1} A and
     z_k = L^{-1} (y - A U_k), Woodbury gives the shared covariance I - B^T B
     and the means U_k + B^T z_k; the weights are re-weighted by N(y; A U_k, S).
+    The result keeps B as its factor, so no (d, d) array is formed.
     """
     _require_unit_variance(prior)
     a = np.asarray(meas.a, dtype=np.float64)
@@ -209,14 +216,22 @@ def exact_posterior(prior: GaussianMixture, meas) -> GaussianMixture:
         - 0.5 * m * np.log(2.0 * np.pi)
     )
     means = prior.means + z.T @ b
-    cov = np.eye(prior.dim) - b.T @ b
-    return GaussianMixture(means=means, log_weights=_normalize_log_weights(log_w), cov=cov)
+    return GaussianMixture(means=means, log_weights=_normalize_log_weights(log_w), factor=b)
 
 
 def sample_mixture(
     mix: GaussianMixture, n: int, rng_seed: int | np.random.Generator
 ) -> np.ndarray:
-    """n i.i.d. draws from the mixture; deterministic given the seed."""
+    """n i.i.d. draws from the mixture; deterministic given the seed.
+
+    The generator draws the component indices (``choice``), then z with
+    ``standard_normal((n, d))``.  With B B^T = V diag(g) V^T and
+    K = V diag(1 / (1 + sqrt(1 - g))) V^T, the noise z - ((z B^T) K) B has
+    covariance exactly I - B^T B, at the cost of one r x r eigh.  For the
+    exact posterior 1 - g is about sigma^2 / s^2 for each singular value s
+    of A, so at tiny sigma it can round below 0; it is clamped there.  An
+    empty B returns z untouched.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(rng_seed)
@@ -224,8 +239,7 @@ def sample_mixture(
     w = w / w.sum()
     idx = rng.choice(mix.n_components, size=n, p=w)
     z = rng.standard_normal((n, mix.dim))
-    if np.isscalar(mix.cov):
-        noise = np.sqrt(float(mix.cov)) * z
-    else:
-        noise = z @ np.linalg.cholesky(mix.cov).T
-    return mix.means[idx] + noise
+    b = mix.factor
+    g, v = np.linalg.eigh(b @ b.T)
+    k = (v / (1.0 + np.sqrt(np.maximum(1.0 - g, 0.0)))) @ v.T
+    return mix.means[idx] + (z - ((z @ b.T) @ k) @ b)

@@ -25,7 +25,6 @@ __all__ = [
     "METHOD_TAGS",
     "GuidanceMethod",
     "tweedie_mean",
-    "fd_score_hessian",
     "guidance_gradient_cadps",
     "guidance_gradient_dps",
     "guidance_gradient_pigdm",
@@ -86,26 +85,6 @@ def _forward_score_hvp(
     if norm == 0.0:
         return np.zeros(np.shape(x))
     return (norm / eps) * (score_fn(x + (eps / norm) * v) - score)
-
-
-def fd_score_hessian(
-    score_fn: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    eps: float = 1e-5,
-) -> np.ndarray:
-    """Full (d, d) Hessian of log p at a single point x, by central FD.
-
-    Symmetrized; intended for small d (oracle checks, dense reference
-    gradients), not for the sampling loop.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    d = x.shape[-1]
-    h = np.empty((d, d))
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = eps
-        h[:, i] = (score_fn(x + e) - score_fn(x - e)) / (2.0 * eps)
-    return 0.5 * (h + h.T)
 
 
 def _solve_likelihood(meas: MeasurementModel, gram: np.ndarray, rhs: np.ndarray):

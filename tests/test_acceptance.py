@@ -22,7 +22,6 @@ from cadps import (
     conditional_moments,
     conjugate_gradient_solve,
     exact_posterior,
-    fd_score_hessian,
     guidance_gradient_cadps,
     run_guided_chains,
     smoothed_score,
@@ -32,6 +31,7 @@ from cadps.cli import main as cli_main
 from cadps.gmm import GaussianMixture
 from cadps.harness import parse_results_csv, run_model
 from cadps.measurement import MeasurementModel
+from fd_hessian import fd_score_hessian
 
 
 def _verdict(capsys, idx, name, ok, detail=""):

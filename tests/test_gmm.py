@@ -7,7 +7,6 @@ from cadps import (
     build_toy_prior,
     conditional_moments,
     exact_posterior,
-    fd_score_hessian,
     sample_mixture,
     smoothed_log_pdf,
     smoothed_score,
@@ -15,6 +14,7 @@ from cadps import (
 )
 from cadps.gmm import _normalize_log_weights, _responsibilities, smoothed_score_hvp
 from cadps.measurement import MeasurementModel
+from fd_hessian import fd_score_hessian
 
 
 # Loop-over-components forms of the responsibilities, score and Hessian-vector
@@ -133,7 +133,12 @@ def test_toy_prior_rejects_odd_dim():
 
 
 def test_mixture_width_comes_from_means():
-    assert GaussianMixture(means=np.zeros((3, 5)), log_weights=np.zeros(3)).dim == 5
+    mix = GaussianMixture(means=np.zeros((3, 5)), log_weights=np.zeros(3))
+    assert mix.dim == 5
+    assert mix.factor.shape == (0, 5)
+    for factor in (np.zeros((2, 4)), np.zeros(5), np.zeros((1, 5, 1))):
+        with pytest.raises(ValueError, match="factor must be"):
+            GaussianMixture(means=np.zeros((3, 5)), log_weights=np.zeros(3), factor=factor)
     with pytest.raises(ValueError, match="one row per log-weight"):
         GaussianMixture(means=np.zeros(3), log_weights=np.zeros(3))
     with pytest.raises(ValueError, match="one row per log-weight"):
@@ -361,3 +366,65 @@ def test_sample_mixture_lattice_frequencies():
     sigma = np.sqrt(n * p * (1 - p))
     assert counts.size == 25
     assert np.all(np.abs(counts - n * p) <= 3 * sigma)
+
+
+def _replay_draw(mix, n, seed):
+    """sample_mixture's documented draws: the indices, then z."""
+    rng = np.random.default_rng(seed)
+    w = np.exp(mix.log_weights)
+    idx = rng.choice(mix.n_components, size=n, p=w / w.sum())
+    return idx, rng.standard_normal((n, mix.dim))
+
+
+def _posterior_factor(d, m, sigma, a_scale, rng):
+    prior = build_toy_prior(d)
+    a = a_scale * rng.standard_normal((m, d)) / np.sqrt(d)
+    y = a @ sample_mixture(prior, 1, rng)[0] + sigma * rng.standard_normal(m)
+    return exact_posterior(prior, MeasurementModel(a=a, y=y, sigma=sigma)).factor
+
+
+@pytest.mark.parametrize(
+    "d,m,sigma,a_scale",
+    [
+        (d, m, sigma, 1.0)
+        for d in (2, 8, 80)
+        for m in (1, 2, 4)
+        for sigma in (0.01, 0.1, 1.0)
+        if m <= d
+    ]
+    + [(800, 4, 0.1, 1.0), (8, 2, 1.0, 0.0)],
+)
+def test_sample_mixture_draw_is_a_square_root(d, m, sigma, a_scale):
+    # the draw is x = T z for one component at 0; recover T from the
+    # replayed z and check T T^T = I - B^T B.  a_scale = 0 is A = 0.
+    b = _posterior_factor(d, m, sigma, a_scale, np.random.default_rng(28))
+    mix = GaussianMixture(means=np.zeros((1, d)), log_weights=np.zeros(1), factor=b)
+    n = 2 * d + 10
+    xs = sample_mixture(mix, n, 7)
+    _, z = _replay_draw(mix, n, 7)
+    t_transpose = np.linalg.lstsq(z, xs, rcond=None)[0]
+    cov = t_transpose.T @ t_transpose
+    assert np.max(np.abs(cov - (np.eye(d) - b.T @ b))) <= 1e-10
+
+
+@pytest.mark.parametrize("d", [2, 8, 800])
+def test_sample_mixture_prior_draws_are_the_replay(d):
+    # an empty factor adds nothing: every observation and chain seeded from
+    # a prior draw stays bitwise the same
+    prior = build_toy_prior(d)
+    idx, z = _replay_draw(prior, 300, 11)
+    assert np.array_equal(sample_mixture(prior, 300, 11), prior.means[idx] + z)
+
+
+@pytest.mark.parametrize("sigma", [1e-9, 1e-12])
+def test_sample_mixture_finite_at_tiny_sigma(sigma):
+    # the smallest eigenvalues of I - B^T B are about sigma^2 / s^2 and
+    # round away, so a (d, d) Cholesky of it fails here
+    rng = np.random.default_rng(9)
+    prior = build_toy_prior(8)
+    a = rng.standard_normal((4, 8)) / np.sqrt(8)
+    y = a @ sample_mixture(prior, 1, rng)[0] + sigma * rng.standard_normal(4)
+    post = exact_posterior(prior, MeasurementModel(a=a, y=y, sigma=sigma))
+    xs = sample_mixture(post, 500, 3)
+    assert np.all(np.isfinite(xs))
+    assert np.max(np.abs(xs @ a.T - y)) <= 1e-6
