@@ -18,7 +18,6 @@ __all__ = [
     "GaussianMixture",
     "ConditionalMoments",
     "build_toy_prior",
-    "smoothed_log_pdf",
     "smoothed_score",
     "smoothed_score_hvp",
     "make_tweedie_jacobian_vp",
@@ -99,12 +98,12 @@ def _require_unit_variance(prior: GaussianMixture) -> None:
 def _responsibilities(prior: GaussianMixture, x: np.ndarray, alpha_bar: float):
     """Responsibilities under p_t = sum_k w_k N(x; sqrt(ab) U_k, I).
 
-    x has shape (n, d); returns (resp (n, K), log normalizer (n,), smoothed
-    means (K, d)).  Smoothed components keep unit variance because the prior
-    components do: alpha_bar * 1 + (1 - alpha_bar) = 1.  The logits
+    x has shape (n, d); returns (resp (n, K), smoothed means (K, d)).
+    Smoothed components keep unit variance because the prior components
+    do: alpha_bar * 1 + (1 - alpha_bar) = 1.  The logits
     log w_k - 0.5 ||x - m_k||^2 are formed as one matmul without the
     -0.5 ||x||^2 term, which is shared by every component and cancels in
-    the softmax; the log normalizer excludes it too.
+    the softmax.
     """
     means_t = np.sqrt(alpha_bar) * prior.means
     logits = x @ means_t.T + (
@@ -114,23 +113,14 @@ def _responsibilities(prior: GaussianMixture, x: np.ndarray, alpha_bar: float):
     resp = np.exp(logits - top)
     total = resp.sum(axis=1, keepdims=True)
     resp /= total
-    return resp, top[:, 0] + np.log(total[:, 0]), means_t
-
-
-def smoothed_log_pdf(prior: GaussianMixture, x_t: np.ndarray, alpha_bar: float):
-    """log p_t(x_t) for the diffused mixture; x_t is (d,) or (n, d)."""
-    _require_unit_variance(prior)
-    x = np.atleast_2d(np.asarray(x_t, dtype=np.float64))
-    _, log_norm, _ = _responsibilities(prior, x, alpha_bar)
-    out = log_norm - 0.5 * np.einsum("nd,nd->n", x, x) - 0.5 * prior.dim * np.log(2.0 * np.pi)
-    return out[0] if np.asarray(x_t).ndim == 1 else out
+    return resp, means_t
 
 
 def smoothed_score(prior: GaussianMixture, x_t: np.ndarray, alpha_bar: float):
     """grad_x log p_t(x_t); x_t is (d,) or (n, d)."""
     _require_unit_variance(prior)
     x = np.atleast_2d(np.asarray(x_t, dtype=np.float64))
-    r, _, means_t = _responsibilities(prior, x, alpha_bar)
+    r, means_t = _responsibilities(prior, x, alpha_bar)
     score = r @ means_t - x
     return score[0] if np.asarray(x_t).ndim == 1 else score
 
@@ -149,7 +139,7 @@ def smoothed_score_hvp(
     squeeze = np.asarray(x_t).ndim == 1
     x = np.atleast_2d(np.asarray(x_t, dtype=np.float64))
     vv = np.atleast_2d(np.asarray(v, dtype=np.float64))
-    r, _, means_t = _responsibilities(prior, x, alpha_bar)
+    r, means_t = _responsibilities(prior, x, alpha_bar)
     mu = r @ means_t
     w = r * (vv @ means_t.T - np.einsum("nd,nd->n", mu, vv)[:, None])
     out = w @ means_t - mu * w.sum(axis=1, keepdims=True) - vv
@@ -176,7 +166,7 @@ def conditional_moments(
     """Exact E[x0 | x_t] and Cov(x0 | x_t) under the mixture prior."""
     _require_unit_variance(prior)
     x = np.asarray(x_t, dtype=np.float64)
-    resp, _, _ = _responsibilities(prior, x[None, :], alpha_bar)
+    resp, _ = _responsibilities(prior, x[None, :], alpha_bar)
     r = resp[0]
     sab = np.sqrt(alpha_bar)
     # per-component posterior: mean U_k + sqrt(ab)(x - sqrt(ab) U_k),

@@ -30,7 +30,6 @@ __all__ = [
     "ExperimentRecord",
     "run_grid",
     "emit_results",
-    "emit_scatter",
 ]
 
 SUMMARY_COLUMNS = ["d", "m", "sigma", "method", "sw_mean", "sw_ci95"]
@@ -260,21 +259,3 @@ def parse_results_csv(path) -> list[ExperimentRecord]:
         if reader.fieldnames != RESULT_COLUMNS:
             raise ValueError(f"unexpected columns {reader.fieldnames}")
         return [ExperimentRecord(**{c: types[c](v) for c, v in row.items()}) for row in reader]
-
-
-def emit_scatter(samples: np.ndarray, reference: np.ndarray, path) -> Path:
-    """Two-block CSV of the first two coordinates, for external plotting."""
-    samples = np.asarray(samples)
-    reference = np.asarray(reference)
-    if samples.shape[1] < 2 or reference.shape[1] < 2:
-        raise ValueError("need at least two coordinates for a scatter dump")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["block", "x1", "x2"])
-        for row in samples:
-            writer.writerow(["samples", _fmt(float(row[0])), _fmt(float(row[1]))])
-        for row in reference:
-            writer.writerow(["reference", _fmt(float(row[0])), _fmt(float(row[1]))])
-    return path

@@ -11,7 +11,6 @@ from cadps import (
     GuidanceMethod,
     build_linear_vp_schedule,
     emit_results,
-    emit_scatter,
     guidance,
     harness,
 )
@@ -149,19 +148,6 @@ def test_emit_jsonl_writes_nan_sw_as_null(tmp_path):
 def test_emit_rejects_empty():
     with pytest.raises(ValueError):
         emit_results([], "csv", "/tmp/nope.csv")
-
-
-def test_emit_scatter(tmp_path):
-    rng = np.random.default_rng(0)
-    path = tmp_path / "scatter.csv"
-    emit_scatter(rng.standard_normal((5, 2)), rng.standard_normal((5, 2)), path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "block,x1,x2"
-    assert len(lines) == 11
-    assert sum(l.startswith("samples") for l in lines) == 5
-    assert sum(l.startswith("reference") for l in lines) == 5
-    with pytest.raises(ValueError):
-        emit_scatter(np.zeros((3, 1)), np.zeros((3, 1)), path)
 
 
 def test_cli_end_to_end(tmp_path):
