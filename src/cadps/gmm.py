@@ -20,7 +20,6 @@ __all__ = [
     "build_toy_prior",
     "smoothed_score",
     "smoothed_score_hvp",
-    "make_tweedie_jacobian_vp",
     "conditional_moments",
     "exact_posterior",
     "sample_mixture",
@@ -144,20 +143,6 @@ def smoothed_score_hvp(
     w = r * (vv @ means_t.T - np.einsum("nd,nd->n", mu, vv)[:, None])
     out = w @ means_t - mu * w.sum(axis=1, keepdims=True) - vv
     return out[0] if squeeze else out
-
-
-def make_tweedie_jacobian_vp(prior: GaussianMixture, alpha_bar: float, x_t: np.ndarray):
-    """Exact d(x0_hat)/d(x_t) at x_t applied to a vector, via the analytic Hessian.
-
-    J = (1/sqrt(ab)) (I + (1 - ab) H); the returned callable maps
-    v -> J v with the same batching as smoothed_score.
-    """
-
-    def jvp(v: np.ndarray) -> np.ndarray:
-        hv = smoothed_score_hvp(prior, x_t, alpha_bar, v)
-        return (v + (1.0 - alpha_bar) * hv) / np.sqrt(alpha_bar)
-
-    return jvp
 
 
 def conditional_moments(

@@ -1,14 +1,18 @@
 """Likelihood-score corrections: DPS, PiGDM, and the covariance-aware rule.
 
 Each rule returns its approximation of grad log p_t(y | x_t), which the
-sampler adds to the prior score, and reads the noise level only as
-ab = alpha_bar_t.  Each function accepts a single state vector (d,) or a
-batch (n, d) of independent chains; per-chain quantities broadcast along
-the leading axis.  PiGDM, CA-DPS and the final conditional draw solve the
-same likelihood system (sigma^2 I + G) lam = y - A x0_hat, differing only
-in the m x m Gram G = A C A^T of their covariance C.  CA-DPS takes its
-covariance from forward differences of the score along the measurement
-directions against the step's own score, at m extra score evaluations.
+sampler adds to the prior score.  Every rule takes the same arguments:
+the residual r = y - A x0_hat of the step's Tweedie mean, the noise level
+ab = alpha_bar_t, the measurement, and hvp(v) = H(x_t) v, the product with
+the Hessian of log p_t at the step's state.  r is (m,) for one chain or
+(n, m) for a batch; hvp returns one product per chain.  With
+jac = sqrt(ab) / (1 - ab) and Sigma_t = ((1 - ab) / ab) (I + (1 - ab) H),
+each gradient is jac Sigma_t A^T lam, and only lam differs: 2 zeta r / |r|
+for DPS, and the solution of (sigma^2 I + G) lam = r for PiGDM and CA-DPS.
+Those two and the final conditional draw solve that one system, differing
+only in the m x m Gram G = A C A^T of their covariance C.  The sampler
+passes DPS and PiGDM the exact product and CA-DPS a forward difference of
+the score, at m extra score evaluations.
 """
 
 from __future__ import annotations
@@ -70,21 +74,32 @@ def _forward_score_hvp(
     score_fn: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
     score: np.ndarray,
-    v: np.ndarray,
-    eps: float,
-) -> np.ndarray:
-    """Hessian-vector product H(x) v by forward differencing of the score.
+    ab: float,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """hvp(v) = H(x) v by forward differencing of the score at x.
 
-    score is score_fn(x), already held by the caller, so this costs one
-    score evaluation.  x is (d,) or batched (n, d); the direction v of
-    shape (d,) is shared by every row.  The difference is taken along the
-    unit direction of v, so eps is the absolute step size.  v = 0 returns
-    zeros without evaluating the score.
+    score is score_fn(x), already held by the caller, so each product
+    costs one score evaluation.  x is (d,) or batched (n, d); the direction
+    v of shape (d,) is shared by every row.  The difference is taken along
+    the unit direction of v, so eps is the absolute step size; the mixture
+    smoothing length is at least sqrt(1 - ab), so eps tracks it.  v = 0
+    returns zeros without evaluating the score.
     """
-    norm = np.linalg.norm(v[None], axis=-1)[0]
-    if norm == 0.0:
-        return np.zeros(np.shape(x))
-    return (norm / eps) * (score_fn(x + (eps / norm) * v) - score)
+    eps = max(1e-3 * np.sqrt(1.0 - ab), 1e-8)
+
+    def hvp(v: np.ndarray) -> np.ndarray:
+        norm = np.linalg.norm(v[None], axis=-1)[0]
+        if norm == 0.0:
+            return np.zeros(np.shape(x))
+        return (norm / eps) * (score_fn(x + (eps / norm) * v) - score)
+
+    return hvp
+
+
+def _tweedie_jvp(v: np.ndarray, ab: float, hvp: Callable[[np.ndarray], np.ndarray]):
+    """J v = (v + (1 - ab) H v) / sqrt(ab), with J = d(x0_hat)/d(x_t) symmetric."""
+    hv = hvp(v)
+    return (v + (1.0 - ab) * hv) / np.sqrt(ab)
 
 
 def _solve_likelihood(meas: MeasurementModel, gram: np.ndarray, rhs: np.ndarray):
@@ -127,35 +142,26 @@ def _clip_psd(g: np.ndarray) -> np.ndarray:
 
 
 def guidance_gradient_cadps(
-    x_t: np.ndarray,
-    score: np.ndarray,
+    r: np.ndarray,
     ab: float,
     meas: MeasurementModel,
-    score_fn: Callable[[np.ndarray], np.ndarray],
+    hvp: Callable[[np.ndarray], np.ndarray],
 ):
     """Covariance-aware likelihood gradient; returns (gradient, cg_report).
 
-    The gradient is the single quantity (sqrt(ab)/(1-ab)) Sigma_t A^T lam,
-    which bakes in the Jacobian identity d(x0_hat)/d(x_t) =
-    (sqrt(ab)/(1-ab)) Sigma_t.  Sigma_t enters only through the m rows
-    Sigma_t a_i, computed from forward-difference Hessian-vector products of
-    score_fn against the step's own score; they give both the Gram
-    A Sigma_t A^T and Sigma_t A^T lam = lam @ rows, so the full
-    cross-coordinate covariance structure is retained at a cost of m extra
-    score evaluations per step (none for a zero row of A).
+    Sigma_t enters only through the m rows Sigma_t a_i, one product hvp(a_i)
+    each; they give both the Gram A Sigma_t A^T and Sigma_t A^T lam =
+    lam @ rows, so the full cross-coordinate covariance structure is
+    retained.  With the sampler's forward-difference product that costs m
+    extra score evaluations per step (none for a zero row of A).
     """
-    rhs = residual(meas, tweedie_mean(x_t, score, ab))
-    # the mixture smoothing length is at least sqrt(1 - ab), so the FD step
-    # tracks it
-    eps = max(1e-3 * np.sqrt(1.0 - ab), 1e-8)
     cov_fac = (1.0 - ab) / ab
-
     # filled in place: stacking a list would hold every row twice
-    rows = np.empty(np.shape(x_t)[:-1] + meas.a.shape)  # (..., m, d)
+    rows = np.empty(np.shape(r)[:-1] + meas.a.shape)  # (..., m, d)
     for i in range(meas.m):
-        hv = _forward_score_hvp(score_fn, x_t, score, meas.a[i], eps)
+        hv = hvp(meas.a[i])
         rows[..., i, :] = cov_fac * (meas.a[i] + (1.0 - ab) * hv)
-    lam, report = _solve_likelihood(meas, _clip_psd(rows @ meas.a.T), rhs)
+    lam, report = _solve_likelihood(meas, _clip_psd(rows @ meas.a.T), r)
     jac = np.sqrt(ab) / (1.0 - ab)
     return jac * np.einsum("...i,...id->...d", lam, rows), report
 
@@ -182,37 +188,33 @@ def sample_final_conditional(
 
 
 def guidance_gradient_dps(
-    x_t: np.ndarray,
-    score: np.ndarray,
+    r: np.ndarray,
     ab: float,
     meas: MeasurementModel,
-    jacobian_vp: Callable[[np.ndarray], np.ndarray],
+    hvp: Callable[[np.ndarray], np.ndarray],
     zeta: float = 1.0,
 ) -> np.ndarray:
     """DPS correction (2 zeta / ||r||) J^T A^T r, zero where r vanishes.
 
-    jacobian_vp applies the symmetric Tweedie Jacobian J, so J^T v = J v.
+    J is symmetric, so J^T v = J v.
     """
     if not 0 < zeta < np.inf:
         raise ValueError("zeta must be finite and positive")
-    r = residual(meas, tweedie_mean(x_t, score, ab))
     rnorm = np.linalg.norm(r, axis=-1, keepdims=True)
     coeff = np.where(rnorm > 0, 2.0 * zeta / np.where(rnorm > 0, rnorm, 1.0), 0.0)
-    return coeff * jacobian_vp(r @ meas.a)
+    return coeff * _tweedie_jvp(r @ meas.a, ab, hvp)
 
 
 def guidance_gradient_pigdm(
-    x_t: np.ndarray,
-    score: np.ndarray,
+    r: np.ndarray,
     ab: float,
     meas: MeasurementModel,
-    jacobian_vp: Callable[[np.ndarray], np.ndarray],
+    hvp: Callable[[np.ndarray], np.ndarray],
 ):
-    """PiGDM correction J^T A^T (sigma^2 I + r_t^2 A A^T)^{-1} (y - A x0_hat).
+    """PiGDM correction J^T A^T (sigma^2 I + r_t^2 A A^T)^{-1} r.
 
-    r_t^2 = 1 - ab is the variance of the VP form; jacobian_vp applies J as
-    for DPS.  Returns (gradient, cg_report).
+    r_t^2 = 1 - ab is the variance of the VP form.  Returns (gradient,
+    cg_report).
     """
-    rhs = residual(meas, tweedie_mean(x_t, score, ab))
-    lam, report = _solve_likelihood(meas, (1.0 - ab) * (meas.a @ meas.a.T), rhs)
-    return jacobian_vp(lam @ meas.a), report
+    lam, report = _solve_likelihood(meas, (1.0 - ab) * (meas.a @ meas.a.T), r)
+    return _tweedie_jvp(lam @ meas.a, ab, hvp), report

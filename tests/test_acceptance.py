@@ -30,7 +30,8 @@ from cadps import (
 from cadps.cli import main as cli_main
 from cadps.gmm import GaussianMixture
 from cadps.harness import parse_results_csv, run_model
-from cadps.measurement import MeasurementModel
+from cadps.guidance import _forward_score_hvp
+from cadps.measurement import MeasurementModel, residual
 from fd_hessian import fd_score_hessian
 
 
@@ -150,9 +151,8 @@ def test_criterion_3_solver_suite(capsys):
     a = rng.standard_normal((2, 4))
     meas = MeasurementModel(a=a, y=rng.standard_normal(2), sigma=0.2)
     x0 = tweedie_mean(x, score, ab)
-    g_dir, _ = guidance_gradient_cadps(
-        x, score, ab, meas, lambda z: smoothed_score(prior, z, ab)
-    )
+    hvp = _forward_score_hvp(lambda z: smoothed_score(prior, z, ab), x, score, ab)
+    g_dir, _ = guidance_gradient_cadps(residual(meas, x0), ab, meas, hvp)
     cov = conditional_moments(prior, x, ab).cov
     lam = np.linalg.solve(meas.sigma**2 * np.eye(2) + a @ cov @ a.T, meas.y - a @ x0)
     dense_dir = (np.sqrt(ab) / (1 - ab)) * cov @ (a.T @ lam)

@@ -8,6 +8,7 @@ or changing how the harness passes them, breaks the traced benchmark run;
 these tests make the same break fail here first.
 """
 
+import functools
 import importlib.util
 import json
 import os
@@ -18,8 +19,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cadps import build_linear_vp_schedule, build_toy_prior, guidance, harness, sampler
-from cadps.measurement import MeasurementModel
+from cadps import build_linear_vp_schedule, build_toy_prior, gmm, guidance, harness, sampler
+from cadps.measurement import MeasurementModel, residual
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 _WORKLOAD = _PERFBENCH / "workload.py"
@@ -49,21 +50,29 @@ def test_tracer_installs_and_restores(monkeypatch, tag):
         x = np.array([[1.0, -2.0], [0.5, 3.0]])
         ab = sched.alpha_bar_t(1)
         score = sampler.smoothed_score(prior, x, ab)
+        r = residual(meas, guidance.tweedie_mean(x, score, ab))
+        # each rule's product, as the sampler builds it
         if tag == "pigdm":
-            sampler.guidance_gradient_pigdm(x, score, ab, meas, lambda v: v)
+            hvp = functools.partial(gmm.smoothed_score_hvp, prior, x, ab)
+            sampler.guidance_gradient_pigdm(r, ab, meas, hvp)
         else:
-            sampler.guidance_gradient_cadps(
-                x, score, ab, meas, lambda xx: sampler.smoothed_score(prior, xx, ab)
-            )
+            score_fn = lambda xx: sampler.smoothed_score(prior, xx, ab)  # noqa: E731
+            hvp = guidance._forward_score_hvp(score_fn, x, score, ab)
+            sampler.guidance_gradient_cadps(r, ab, meas, hvp)
     finally:
         tracer.restore()
     assert (sampler.smoothed_score, guidance.conjugate_gradient_solve) == originals
     names = [s.name for s in tracer.spans]
-    # CA-DPS also scores the m = 1 perturbed state of its forward HVP
-    hvp = ["gmm.smoothed_score"] if tag == "cadps" else []
-    assert names == ["gmm.smoothed_score", f"guidance.{tag}", *hvp, "linalg.cg"]
-    cg = tracer.spans[-1]
-    assert cg.parent == tracer.spans[1].id
+    # CA-DPS scores the m = 1 perturbed state of its forward HVP before its
+    # solve; PiGDM applies its exact HVP to the solve's lam.  Both run
+    # inside the rule's span.
+    if tag == "cadps":
+        inner = ["gmm.smoothed_score", "linalg.cg"]
+    else:
+        inner = ["linalg.cg", "gmm.smoothed_score_hvp"]
+    assert names == ["gmm.smoothed_score", f"guidance.{tag}", *inner]
+    assert all(s.parent == tracer.spans[1].id for s in tracer.spans[2:])
+    cg = tracer.spans[names.index("linalg.cg")]
     assert cg.attrs["converged"] and cg.attrs["iterations"] >= 1
 
 

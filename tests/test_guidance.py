@@ -13,19 +13,15 @@ from cadps import (
     tweedie_mean,
 )
 from cadps import guidance
-from cadps.gmm import (
-    GaussianMixture,
-    make_tweedie_jacobian_vp,
-    sample_mixture,
-    smoothed_score_hvp,
-)
+from cadps.gmm import GaussianMixture, sample_mixture, smoothed_score_hvp
 from cadps.guidance import (
     SIGMA_DIAG_CEIL,
     _clip_psd,
     _forward_score_hvp,
     sample_final_conditional,
 )
-from cadps.measurement import MeasurementModel
+from cadps.linalg import CgReport
+from cadps.measurement import MeasurementModel, residual
 
 
 def _single_gaussian(d=1):
@@ -40,6 +36,20 @@ def _step_near(sched, target_ab):
     return int(np.argmin(np.abs(sched.alpha_bar - target_ab))) + 1
 
 
+def _fd_hvp(prior, x, score, ab):
+    """The sampler's product for CA-DPS: forward differences of the score."""
+    return _forward_score_hvp(lambda z: smoothed_score(prior, z, ab), x, score, ab)
+
+
+def _exact_hvp(prior, x, ab):
+    """The sampler's product for DPS and PiGDM: the analytic Hessian."""
+    return lambda v: smoothed_score_hvp(prior, x, ab, v)
+
+
+def _residual(meas, x, score, ab):
+    return residual(meas, tweedie_mean(x, score, ab))
+
+
 def test_method_validation():
     with pytest.raises(ValueError):
         GuidanceMethod(tag="nope")
@@ -51,7 +61,7 @@ def test_method_validation():
         with pytest.raises(ValueError, match="finite and positive"):
             GuidanceMethod(tag="dps", zeta=zeta)
         with pytest.raises(ValueError, match="finite and positive"):
-            guidance_gradient_dps(np.ones(1), np.ones(1), 0.5, meas, lambda v: v, zeta=zeta)
+            guidance_gradient_dps(np.ones(1), 0.5, meas, lambda v: v, zeta=zeta)
     # zeta is a DPS setting; the other rules would ignore it
     for tag, zeta in (("pigdm", -3.0), ("pigdm", 3.0), ("cadps", 0.5), ("cadps", np.nan)):
         with pytest.raises(ValueError, match="DPS setting"):
@@ -176,11 +186,12 @@ def test_all_gradients_vanish_for_zero_operator():
     x = np.array([1.0, -0.5])
     s = smoothed_score(prior, x, ab)
     meas = MeasurementModel(a=np.zeros((1, 2)), y=np.zeros(1), sigma=0.1)
-    g, _ = guidance_gradient_cadps(x, s, ab, meas, lambda z: smoothed_score(prior, z, ab))
+    r = _residual(meas, x, s, ab)
+    g, _ = guidance_gradient_cadps(r, ab, meas, _fd_hvp(prior, x, s, ab))
     assert np.allclose(g, 0.0)
-    jvp = make_tweedie_jacobian_vp(prior, ab, x)
-    assert np.allclose(guidance_gradient_dps(x, s, ab, meas, jvp), 0.0)
-    g, _ = guidance_gradient_pigdm(x, s, ab, meas, jvp)
+    hvp = _exact_hvp(prior, x, ab)
+    assert np.allclose(guidance_gradient_dps(r, ab, meas, hvp), 0.0)
+    g, _ = guidance_gradient_pigdm(r, ab, meas, hvp)
     assert np.allclose(g, 0.0)
 
 
@@ -195,7 +206,7 @@ def test_cadps_scalar_closed_form():
     score = smoothed_score(prior, x, ab)
     meas = MeasurementModel(a=np.eye(1), y=np.array([0.9]), sigma=0.3)
     g, report = guidance_gradient_cadps(
-        x, score, ab, meas, lambda z: smoothed_score(prior, z, ab)
+        _residual(meas, x, score, ab), ab, meas, _fd_hvp(prior, x, score, ab)
     )
     s = 1 - ab
     x0 = tweedie_mean(x, score, ab)
@@ -204,7 +215,18 @@ def test_cadps_scalar_closed_form():
     assert report.converged
 
 
-def test_cadps_directional_matches_dense_analytic_covariance():
+def _dense_solve(gram, rhs, shift):
+    """conjugate_gradient_solve's contract, solved exactly."""
+    m = np.shape(gram)[-1]
+    x = np.linalg.solve(shift * np.eye(m) + gram, rhs[..., None])[..., 0]
+    return x, CgReport(iterations=0, residual_norm=0.0, converged=True)
+
+
+@pytest.mark.parametrize("product", ["fd", "exact"])
+def test_cadps_directional_matches_dense_analytic_covariance(product, monkeypatch):
+    # with the forward-difference product the error is the FD step's; with
+    # the exact product and a dense solve in place of CG's 1e-4 tolerance,
+    # only the rule's own algebra is left
     prior = build_toy_prior(4)
     sched = _schedule()
     t = _step_near(sched, 0.5)
@@ -214,12 +236,20 @@ def test_cadps_directional_matches_dense_analytic_covariance():
     score = smoothed_score(prior, x, ab)
     a = rng.standard_normal((2, 4))
     meas = MeasurementModel(a=a, y=rng.standard_normal(2), sigma=0.2)
-    g, _ = guidance_gradient_cadps(x, score, ab, meas, lambda z: smoothed_score(prior, z, ab))
+    if product == "fd":
+        hvp = _fd_hvp(prior, x, score, ab)
+    else:
+        hvp = _exact_hvp(prior, x, ab)
+        monkeypatch.setattr(guidance, "conjugate_gradient_solve", _dense_solve)
+    g, _ = guidance_gradient_cadps(_residual(meas, x, score, ab), ab, meas, hvp)
     cov = conditional_moments(prior, x, ab).cov
     x0 = tweedie_mean(x, score, ab)
     lam = np.linalg.solve(meas.sigma**2 * np.eye(2) + a @ cov @ a.T, meas.y - a @ x0)
     dense = (np.sqrt(ab) / (1 - ab)) * cov @ (a.T @ lam)
-    assert np.allclose(g, dense, rtol=1e-3, atol=1e-4)
+    if product == "fd":
+        assert np.allclose(g, dense, rtol=1e-3, atol=1e-4)
+    else:
+        assert np.linalg.norm(g - dense) <= 1e-10 * np.linalg.norm(dense)
 
 
 def test_dps_zero_residual_guard():
@@ -231,8 +261,8 @@ def test_dps_zero_residual_guard():
     score = smoothed_score(prior, x, ab)
     x0 = tweedie_mean(x, score, ab)
     meas = MeasurementModel(a=np.eye(1), y=np.array([x0[0]]), sigma=0.1)
-    jvp = make_tweedie_jacobian_vp(prior, ab, x)
-    assert np.allclose(guidance_gradient_dps(x, score, ab, meas, jvp), 0.0)
+    r = _residual(meas, x, score, ab)
+    assert np.allclose(guidance_gradient_dps(r, ab, meas, _exact_hvp(prior, x, ab)), 0.0)
 
 
 def test_dps_unit_arithmetic():
@@ -244,9 +274,11 @@ def test_dps_unit_arithmetic():
     score = smoothed_score(prior, x, ab)  # zero at the origin
     x0 = tweedie_mean(x, score, ab)
     meas = MeasurementModel(a=np.eye(1), y=np.array([x0[0] + 2.0]), sigma=0.1)
-    g = guidance_gradient_dps(x, score, ab, meas, zeta=1.0, jacobian_vp=lambda v: v)
-    # (2 zeta / ||r||) * J^T A^T r with r = 2, J = A = 1
-    assert g[0] == pytest.approx(2.0, rel=1e-12)
+    r = _residual(meas, x, score, ab)
+    g = guidance_gradient_dps(r, ab, meas, hvp=_exact_hvp(prior, x, ab), zeta=1.0)
+    # (2 zeta / ||r||) * J^T A^T r with r = 2, A = 1 and, for one unit
+    # Gaussian, H = -I, so J = (1 + (1 - ab) H) / sqrt(ab) = sqrt(ab)
+    assert g[0] == pytest.approx(2.0 * np.sqrt(ab), rel=1e-12)
 
 
 def test_dps_matches_fd_of_objective():
@@ -265,9 +297,8 @@ def test_dps_matches_fd_of_objective():
         r = meas.y - a @ tweedie_mean(z, s, ab)
         return float(r @ r)
 
-    jvp = make_tweedie_jacobian_vp(prior, ab, x)
-    g = guidance_gradient_dps(x, score, ab, meas, zeta=1.0, jacobian_vp=jvp)
-    r0 = meas.y - a @ tweedie_mean(x, score, ab)
+    r0 = _residual(meas, x, score, ab)
+    g = guidance_gradient_dps(r0, ab, meas, hvp=_exact_hvp(prior, x, ab), zeta=1.0)
     eps = 1e-6
     fd = np.zeros(2)
     for i in range(2):
@@ -286,8 +317,8 @@ def test_pigdm_scalar_closed_form():
     x = np.array([0.7])
     score = smoothed_score(prior, x, ab)
     meas = MeasurementModel(a=0.6 * np.eye(1), y=np.array([1.1]), sigma=0.2)
-    jvp = make_tweedie_jacobian_vp(prior, ab, x)
-    g, report = guidance_gradient_pigdm(x, score, ab, meas, jvp)
+    r = _residual(meas, x, score, ab)
+    g, report = guidance_gradient_pigdm(r, ab, meas, _exact_hvp(prior, x, ab))
     rt2 = 1 - ab
     x0 = tweedie_mean(x, score, ab)
     # one unit Gaussian: H = -I, so J = (1 + (1 - ab) H) / sqrt(ab) = sqrt(ab)
@@ -308,10 +339,10 @@ def test_pigdm_reduction_from_cadps():
     meas = MeasurementModel(a=a, y=np.array([0.8]), sigma=0.3)
     x = np.array([1.2, -0.4])
     score = smoothed_score(prior, x, ab)
-    g_cadps, _ = guidance_gradient_cadps(
-        x, score, ab, meas, lambda z: smoothed_score(prior, z, ab)
-    )
-    g_pigdm, _ = guidance_gradient_pigdm(x, score, ab, meas, lambda v: np.sqrt(ab) * v)
+    r = _residual(meas, x, score, ab)
+    g_cadps, _ = guidance_gradient_cadps(r, ab, meas, _fd_hvp(prior, x, score, ab))
+    # the exact Hessian is -I, so J = sqrt(ab) I
+    g_pigdm, _ = guidance_gradient_pigdm(r, ab, meas, lambda v: -v)
     assert np.allclose(g_cadps, g_pigdm, rtol=1e-9, atol=1e-12)
 
 
@@ -323,18 +354,16 @@ def test_forward_score_hvp_matches_exact(d):
     prior = build_toy_prior(d)
     rng = np.random.default_rng(40 + d)
     for ab in (1e-12, 1e-4, 0.1, 0.3, 0.6, 0.9, 0.999):
-        eps = max(1e-3 * np.sqrt(1.0 - ab), 1e-8)
         x0 = sample_mixture(prior, 50, rng)
         x = np.sqrt(ab) * x0 + np.sqrt(1 - ab) * rng.standard_normal(x0.shape)
         v = rng.standard_normal(d)  # one direction shared by every row
-        score_fn = lambda z, _ab=ab: smoothed_score(prior, z, _ab)  # noqa: E731
-        fd = _forward_score_hvp(score_fn, x, score_fn(x), v, eps)
+        fd = _fd_hvp(prior, x, smoothed_score(prior, x, ab), ab)(v)
         exact = smoothed_score_hvp(prior, x, ab, np.broadcast_to(v, x.shape))
         bound = 5e-3 * np.max(np.linalg.norm(exact, axis=-1))
         assert fd.shape == x.shape
         assert np.max(np.linalg.norm(fd - exact, axis=-1)) <= bound
         # a single (d,) state
-        one = _forward_score_hvp(score_fn, x[0], score_fn(x[0]), v, eps)
+        one = _fd_hvp(prior, x[0], smoothed_score(prior, x[0], ab), ab)(v)
         assert one.shape == (d,)
         assert np.linalg.norm(one - exact[0]) <= bound
 
@@ -365,7 +394,8 @@ def test_cadps_directional_zero_row_of_a(monkeypatch):
     monkeypatch.setattr(guidance, "_clip_psd", spy)
     for xs, ss in ((x, score), (x[0], score[0])):  # a batch and a single (d,) state
         calls.clear()
-        g, report = guidance_gradient_cadps(xs, ss, ab, meas, score_fn)
+        hvp = _forward_score_hvp(score_fn, xs, ss, ab)
+        g, report = guidance_gradient_cadps(_residual(meas, xs, ss, ab), ab, meas, hvp)
         assert calls == [xs.shape, xs.shape]
         assert np.all(grams[-1][..., 1, :] == 0.0) and np.all(grams[-1][..., :, 1] == 0.0)
         assert np.all(np.isfinite(g)) and report.converged
@@ -399,8 +429,8 @@ def test_pigdm_batched_matches_dense_solve():
     score = smoothed_score(prior, x, ab)
     a = rng.standard_normal((4, 8))
     meas = MeasurementModel(a=a, y=rng.standard_normal(4), sigma=0.2)
-    jvp = make_tweedie_jacobian_vp(prior, ab, x)
-    g, report = guidance_gradient_pigdm(x, score, ab, meas, jacobian_vp=jvp)
+    r = _residual(meas, x, score, ab)
+    g, report = guidance_gradient_pigdm(r, ab, meas, hvp=_exact_hvp(prior, x, ab))
     assert report.converged
     gram = meas.sigma**2 * np.eye(4) + (1 - ab) * a @ a.T
     for i in range(5):

@@ -13,7 +13,7 @@ from cadps import (
     run_guided_chains,
     smoothed_score,
 )
-from cadps import sampler
+from cadps import gmm, sampler
 from cadps.gmm import GaussianMixture
 from cadps.guidance import METHOD_TAGS
 from cadps.measurement import MeasurementModel
@@ -190,9 +190,9 @@ def test_guidance_skipped_below_alpha_bar_floor(tag, monkeypatch):
     seen = []
     original = getattr(sampler, f"guidance_gradient_{tag}")
 
-    def counting(x_t, score, ab, *args, **kwargs):
+    def counting(r, ab, *args, **kwargs):
         seen.append(ab)
-        return original(x_t, score, ab, *args, **kwargs)
+        return original(r, ab, *args, **kwargs)
 
     monkeypatch.setattr(sampler, f"guidance_gradient_{tag}", counting)
     prior = _single_gaussian(2)
@@ -222,14 +222,22 @@ def _harness_schedule():
 )
 def test_score_never_evaluated_below_alpha_bar_floor(tag, m, monkeypatch):
     sched = _harness_schedule()
-    seen = []
+    seen, seen_hvp = [], []
     original = sampler.smoothed_score
+    original_hvp = gmm.smoothed_score_hvp
 
     def counting(prior, x, alpha_bar):
         seen.append(alpha_bar)
         return original(prior, x, alpha_bar)
 
+    def counting_hvp(prior, x, alpha_bar, v):
+        seen_hvp.append(alpha_bar)
+        return original_hvp(prior, x, alpha_bar, v)
+
+    # the benchmark's tracer wraps both names the same way, so a product the
+    # sampler reaches by another name would go uncounted there too
     monkeypatch.setattr(sampler, "smoothed_score", counting)
+    monkeypatch.setattr(gmm, "smoothed_score_hvp", counting_hvp)
     rng = np.random.default_rng(14)
     meas = MeasurementModel(a=rng.standard_normal((m, 4)), y=rng.standard_normal(m), sigma=0.1)
     cfg = ChainConfig(schedule=sched, method=GuidanceMethod(tag=tag), rng_seed=15, n_chains=4)
@@ -239,6 +247,10 @@ def test_score_never_evaluated_below_alpha_bar_floor(tag, m, monkeypatch):
     # CA-DPS adds one score evaluation per measurement direction on every
     # step but the last, which draws from the final conditional
     assert len(seen) == (55 + 54 * m if tag == "cadps" else 55)
+    # one exact Jacobian product per guided step for DPS and PiGDM, whose
+    # last step is the final conditional draw; CA-DPS takes none
+    assert len(seen_hvp) == {"cadps": 0, "dps": 55, "pigdm": 54}[tag]
+    assert min(seen_hvp, default=_GUIDANCE_AB_MIN) >= _GUIDANCE_AB_MIN
 
 
 @settings(max_examples=20)
